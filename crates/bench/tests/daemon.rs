@@ -9,6 +9,8 @@
 //! deadline exit codes, the drain path exiting 0, and the exit-code
 //! table each code reachable by exactly one condition.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -183,6 +185,57 @@ fn full_queue_rejects_with_a_structured_retry_hint() {
     assert!(resp.contains("\"retry_after_ms\": 321"), "hint: {resp}");
 
     // The daemon is still fully live after shedding load.
+    let out = sweepd()
+        .args(["--ctl", "drain", "--socket", sock.to_str().unwrap()])
+        .output()
+        .expect("ctl drain");
+    assert!(out.status.success());
+    let status = wait_within(&mut daemon, Duration::from_secs(60), "drained daemon");
+    assert_eq!(status.code(), Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Hostile nesting: one 40,000-byte request line of `[` used to overflow
+/// the connection thread's stack and abort the whole daemon ("fatal
+/// runtime error: stack overflow"; the next connect was refused). The
+/// parser's nesting cap turns it into a structured `bad_request`, and
+/// the daemon keeps serving new connections.
+#[test]
+fn deeply_nested_request_is_a_bad_request_not_a_crash() {
+    let dir = scratch("nesting");
+    let sock = dir.join("d.sock");
+    let mut daemon = spawn_daemon(&sock, &dir.join("state"), &[]);
+    wait_ready(&sock);
+
+    let mut conn = UnixStream::connect(&sock).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut line = "[".repeat(40_000);
+    line.push('\n');
+    conn.write_all(line.as_bytes()).expect("send request");
+    let mut resp = String::new();
+    BufReader::new(&conn)
+        .read_line(&mut resp)
+        .expect("read response");
+    assert!(
+        resp.contains("\"bad_request\""),
+        "structured rejection: {resp}"
+    );
+    drop(conn);
+
+    let out = sweepd()
+        .args(["--ctl", "ping", "--socket", sock.to_str().unwrap()])
+        .output()
+        .expect("ctl ping");
+    assert!(
+        out.status.success(),
+        "a new connection must still be served"
+    );
+    assert!(
+        daemon.try_wait().expect("try_wait").is_none(),
+        "daemon alive"
+    );
+
     let out = sweepd()
         .args(["--ctl", "drain", "--socket", sock.to_str().unwrap()])
         .output()

@@ -13,14 +13,15 @@
 //! golden-snapshot suite pins this down.
 
 use crate::config::{Backend, SimConfig};
-use nachos_ir::NodeId;
+use nachos_ir::EdgeKind;
 use nachos_mem::MemoryHierarchy;
 
+use super::plan::RunPlan;
 use super::policy::ideal::IdealPolicy;
 use super::policy::nachos_hw::NachosPolicy;
 use super::policy::nachos_sw::NachosSwPolicy;
 use super::policy::optlsq::OptLsqPolicy;
-use super::policy::DisambiguationPolicy;
+use super::policy::{DisambiguationPolicy, EdgeGate};
 use super::queue::EventQueue;
 use super::state::NodeTable;
 
@@ -29,14 +30,14 @@ use super::state::NodeTable;
 /// holding the buffers.
 #[derive(Default)]
 pub(crate) struct CoreBufs {
+    /// The run-invariant execution plan's tables.
+    pub(crate) plan: RunPlan,
     pub(crate) state: NodeTable,
     pub(crate) queue: EventQueue,
     /// The memory-port calendar's slot vector.
     pub(crate) ports: Vec<u32>,
     /// Pooled hierarchy, reused (reset) when the config matches.
     pub(crate) hierarchy: Option<MemoryHierarchy>,
-    pub(crate) store_nodes: Vec<NodeId>,
-    pub(crate) operands: Vec<u64>,
     /// Iteration-vector scratch (loop nest indices).
     pub(crate) iv: Vec<i64>,
     /// Unknown-pointer value scratch.
@@ -52,6 +53,18 @@ pub(crate) enum PolicyMut<'a> {
     NachosSw(&'a mut NachosSwPolicy),
     Nachos(&'a mut NachosPolicy),
     Ideal(&'a mut IdealPolicy),
+}
+
+impl PolicyMut<'_> {
+    /// The backend's run-invariant gate for a non-local MDE of `kind`.
+    pub(crate) fn edge_gate(&self, kind: EdgeKind) -> EdgeGate {
+        match self {
+            PolicyMut::OptLsq(p) => p.edge_gate(kind),
+            PolicyMut::NachosSw(p) => p.edge_gate(kind),
+            PolicyMut::Nachos(p) => p.edge_gate(kind),
+            PolicyMut::Ideal(p) => p.edge_gate(kind),
+        }
+    }
 }
 
 /// A reusable per-worker simulation arena.
@@ -76,8 +89,9 @@ impl SimArena {
         Self::default()
     }
 
-    /// Splits the arena into the core buffers and the (reset) policy for
-    /// `backend`, constructing the policy on first use.
+    /// Splits the arena into the core buffers and the pooled policy for
+    /// `backend`, constructing the policy on first use. The policy resets
+    /// itself in `prepare_run` once the run's plan exists.
     pub(crate) fn split(
         &mut self,
         backend: Backend,
@@ -90,31 +104,17 @@ impl SimArena {
             nachos_hw,
             ideal,
         } = self;
-        fn ready<P: DisambiguationPolicy>(p: &mut P, backend: Backend, config: &SimConfig) {
-            debug_assert_eq!(p.backend(), backend, "arena pooled wrong policy");
-            p.prepare_run(config);
-        }
         let policy = match backend {
             Backend::OptLsq => {
-                let p = optlsq.get_or_insert_with(|| OptLsqPolicy::new(config));
-                ready(p, backend, config);
-                PolicyMut::OptLsq(p)
+                PolicyMut::OptLsq(optlsq.get_or_insert_with(|| OptLsqPolicy::new(config)))
             }
             Backend::NachosSw => {
-                let p = nachos_sw.get_or_insert_with(NachosSwPolicy::default);
-                ready(p, backend, config);
-                PolicyMut::NachosSw(p)
+                PolicyMut::NachosSw(nachos_sw.get_or_insert_with(NachosSwPolicy::default))
             }
             Backend::Nachos => {
-                let p = nachos_hw.get_or_insert_with(NachosPolicy::default);
-                ready(p, backend, config);
-                PolicyMut::Nachos(p)
+                PolicyMut::Nachos(nachos_hw.get_or_insert_with(NachosPolicy::default))
             }
-            Backend::Ideal => {
-                let p = ideal.get_or_insert_with(IdealPolicy::default);
-                ready(p, backend, config);
-                PolicyMut::Ideal(p)
-            }
+            Backend::Ideal => PolicyMut::Ideal(ideal.get_or_insert_with(IdealPolicy::default)),
         };
         (bufs, policy)
     }

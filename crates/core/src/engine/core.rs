@@ -9,9 +9,11 @@
 //! [`DisambiguationPolicy`](super::policy::DisambiguationPolicy) trait.
 //!
 //! Hot-path layout: per-node state is a structure of arrays
-//! ([`NodeTable`]), events flow through the bucketed calendar queue
-//! ([`EventQueue`]), and an optional [`TelemetrySink`] observes cycle
-//! boundaries and backpressure windows without perturbing either.
+//! ([`NodeTable`]), events flow through the slab-backed calendar queue
+//! ([`EventQueue`]), everything derivable from the region, placement and
+//! backend alone is computed once per run into a [`RunPlan`], and an
+//! optional [`TelemetrySink`] observes cycle boundaries and backpressure
+//! windows without perturbing either.
 
 use crate::config::{Backend, CancelToken, SimConfig};
 use crate::energy::EventCounts;
@@ -19,11 +21,12 @@ use crate::error::{DeadlockCause, DeadlockInfo, SimError, StalledNode, WaitForEd
 use crate::fault::{FaultClass, FaultKind, FaultState};
 use crate::value::{apply, LoadObserver};
 use nachos_cgra::Placement;
-use nachos_ir::{Binding, EdgeKind, MemSpace, NodeId, OpKind, Region};
+use nachos_ir::{Binding, EdgeKind, NodeId, OpKind, Region};
 use nachos_mem::{DataMemory, MemoryHierarchy};
 
 use super::arena::CoreBufs;
 use super::calendar::Calendar;
+use super::plan::{OutClass, OutEdge, RunPlan};
 use super::policy::{DisambiguationPolicy, EdgeGate};
 use super::queue::EventQueue;
 use super::state::{Ev, NodeTable, StallCause};
@@ -46,7 +49,9 @@ pub(crate) struct SchedCore<'a> {
     pub(crate) loads: LoadObserver,
     pub(crate) counts: EventCounts,
     pub(crate) clock: u64,
-    /// Per-invocation node state (rebuilt each invocation), SoA layout.
+    /// Run-invariant gate census, fan-out tables and store list.
+    pub(crate) plan: RunPlan,
+    /// Per-invocation node state (reset each invocation), SoA layout.
     pub(crate) state: NodeTable,
     pub(crate) mem_ports: Calendar,
     /// Cycle-weighted stall attribution for the whole run.
@@ -61,10 +66,6 @@ pub(crate) struct SchedCore<'a> {
     pub(crate) inv: u64,
     pub(crate) iv: Vec<i64>,
     pub(crate) unknown_vals: Vec<u64>,
-    /// This invocation's store nodes, program order (reused scratch).
-    pub(crate) store_nodes: Vec<NodeId>,
-    /// Operand-gathering scratch.
-    operands: Vec<u64>,
 }
 
 /// Node kind lookup that borrows only the region (usable while `self` is
@@ -73,14 +74,10 @@ pub(crate) fn node_kind(region: &Region, n: NodeId) -> &OpKind {
     &region.dfg.node(n).kind
 }
 
-/// Scratchpad test that borrows only the region.
-pub(crate) fn is_scratch(region: &Region, n: NodeId) -> bool {
-    node_kind(region, n)
-        .mem_ref()
-        .is_some_and(|m| m.space == MemSpace::Scratchpad)
-}
-
 impl<'a> SchedCore<'a> {
+    /// Sets up a run, building its [`RunPlan`] with the backend's
+    /// run-invariant edge `gate`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         region: &'a Region,
         binding: &'a Binding,
@@ -89,10 +86,12 @@ impl<'a> SchedCore<'a> {
         placement: Placement,
         bufs: &mut CoreBufs,
         sink: Option<&'a mut dyn TelemetrySink>,
+        gate: impl Fn(EdgeKind) -> EdgeGate,
     ) -> Self {
-        let n = region.dfg.num_nodes();
+        let mut plan = std::mem::take(&mut bufs.plan);
+        plan.build(region, &placement, &config.latency, gate);
         let mut state = std::mem::take(&mut bufs.state);
-        state.reset(n);
+        state.reset_from(&plan);
         let mut queue = std::mem::take(&mut bufs.queue);
         queue.clear();
         let hierarchy = match bufs.hierarchy.take() {
@@ -114,6 +113,7 @@ impl<'a> SchedCore<'a> {
             loads: LoadObserver::new(),
             counts: EventCounts::default(),
             clock: 0,
+            plan,
             state,
             mem_ports,
             stalls: StallCounts::default(),
@@ -124,33 +124,28 @@ impl<'a> SchedCore<'a> {
             inv: 0,
             iv: std::mem::take(&mut bufs.iv),
             unknown_vals: std::mem::take(&mut bufs.unknown_vals),
-            store_nodes: std::mem::take(&mut bufs.store_nodes),
-            operands: std::mem::take(&mut bufs.operands),
         }
     }
 
     /// Returns the reusable buffers to the arena.
     pub(crate) fn reclaim(self, bufs: &mut CoreBufs) {
         let Self {
+            plan,
             mut state,
             mut queue,
             mem_ports,
             hierarchy,
-            mut store_nodes,
-            operands,
             iv,
             unknown_vals,
             ..
         } = self;
         state.reset(0);
         queue.clear();
-        store_nodes.clear();
+        bufs.plan = plan;
         bufs.state = state;
         bufs.queue = queue;
         bufs.ports = mem_ports.into_used();
         bufs.hierarchy = Some(hierarchy);
-        bufs.store_nodes = store_nodes;
-        bufs.operands = operands;
         bufs.iv = iv;
         bufs.unknown_vals = unknown_vals;
     }
@@ -164,7 +159,7 @@ impl<'a> SchedCore<'a> {
     }
 
     pub(crate) fn is_scratch(&self, n: NodeId) -> bool {
-        is_scratch(self.region, n)
+        self.plan.is_scratch(n)
     }
 
     /// Emits the per-cycle telemetry census for the current `clock`
@@ -208,36 +203,11 @@ impl<'a> SchedCore<'a> {
         self.binding.unknown_values_into(inv, &mut unknown_vals);
         self.unknown_vals = unknown_vals;
 
-        // Rebuild per-invocation node state. The policy decides how each
-        // non-local memory-dependence edge gates its destination; data
-        // edges and scratchpad-local dependencies (register dataflow the
-        // compiler wired explicitly — the LSQ never sees local accesses)
-        // are gated identically under every backend.
-        policy.begin_invocation(self, t0);
-        self.state.reset(region.dfg.num_nodes());
-        for n in region.dfg.node_ids() {
-            let (mut data, mut token, mut may) = (0u32, 0u32, 0u32);
-            for e in region.dfg.in_edges(n) {
-                let local = is_scratch(region, e.src) && is_scratch(region, e.dst);
-                let gate = match e.kind {
-                    EdgeKind::Data => EdgeGate::Data,
-                    EdgeKind::Forward if local => EdgeGate::Data,
-                    EdgeKind::Order | EdgeKind::May if local => EdgeGate::Token,
-                    _ => policy.edge_gate(self, e),
-                };
-                match gate {
-                    EdgeGate::Data => data += 1,
-                    EdgeGate::Token => token += 1,
-                    EdgeGate::May => may += 1,
-                    EdgeGate::Ignore => {}
-                }
-            }
-            let i = n.index();
-            self.state.data_pending[i] = data;
-            self.state.token_pending[i] = token;
-            self.state.may_pending[i] = may;
-        }
-        // Program-order setup: LSQ allocation, MAY-site construction.
+        // Reset per-invocation node state from the run's gate census
+        // (the backend's run-invariant gating, fixed in the plan), then
+        // let the policy add its per-invocation gates and program-order
+        // setup: LSQ allocation, MAY-site reset, oracle gating.
+        self.state.reset_from(&self.plan);
         policy.after_gating(self, t0);
 
         // Invocations are block-atomic: no event before t0 can be claimed
@@ -249,31 +219,20 @@ impl<'a> SchedCore<'a> {
         // address/data paths of a real LSQ, and like Figure 13's
         // comparator receiving store addresses before the stores execute.
         let agen = self.config.latency.mem_agen;
-        let mut stores = std::mem::take(&mut self.store_nodes);
-        stores.clear();
-        stores.extend(
-            region
-                .dfg
-                .mem_ops()
-                .iter()
-                .copied()
-                .filter(|&n| node_kind(region, n).is_store()),
-        );
-        for &n in &stores {
+        for k in 0..self.plan.stores.len() {
+            let n = self.plan.stores[k];
             let (addr, size) = self.eval_mem_ref(n);
             let i = n.index();
             self.state.addr[i] = addr;
             self.state.size[i] = size;
             self.state.addr_ready[i] = t0 + agen;
         }
-        self.store_nodes = stores;
         policy.on_stores_resolved(self, t0, agen);
 
-        // Seed source nodes.
-        for n in region.dfg.node_ids() {
-            if self.state.data_pending[n.index()] == 0 {
-                self.push(t0, Ev::Data(n)); // zero-pending: fires immediately
-            }
+        // Seed source nodes: zero data operands, so they fire at once.
+        for k in 0..self.plan.sources.len() {
+            let n = self.plan.sources[k];
+            self.push(t0, Ev::Data(n));
         }
 
         // Event loop, under the watchdog's cycle budget. A healthy
@@ -513,17 +472,15 @@ impl<'a> SchedCore<'a> {
                 // Forwarding happens from the *in-flight* value: the
                 // moment the store's data operand exists, it can be
                 // routed to forwarded loads — before the store commits.
-                for e in region.dfg.out_edges(n) {
-                    if e.kind != EdgeKind::Forward {
-                        continue;
-                    }
-                    let hops = self.placement.hops(e.src, e.dst);
-                    let at = t + self.config.latency.route_latency(hops);
-                    if is_scratch(region, e.src) && is_scratch(region, e.dst) {
-                        self.counts.data_links += 1;
-                        self.push(at, Ev::Data(e.dst));
-                    } else {
-                        policy.on_forward_edge(self, at, e.dst);
+                for k in self.plan.out_range(n) {
+                    let OutEdge { dst, class, route } = self.plan.out_edge(k);
+                    match class {
+                        OutClass::LocalForward => {
+                            self.counts.data_links += 1;
+                            self.push(t + route, Ev::Data(dst));
+                        }
+                        OutClass::Forward => policy.on_forward_edge(self, t + route, dst),
+                        _ => {}
                     }
                 }
                 let ready = self.state.addr_ready[n.index()];
@@ -550,23 +507,12 @@ impl<'a> SchedCore<'a> {
         }
     }
 
-    /// Applies a node's operator to its data operands (reusing the operand
-    /// scratch buffer).
-    fn eval_node(&mut self, n: NodeId) -> u64 {
-        let region = self.region;
-        let kind = node_kind(region, n);
-        let mut ops = std::mem::take(&mut self.operands);
-        ops.clear();
-        ops.extend(
-            region
-                .dfg
-                .in_edges(n)
-                .filter(|e| e.kind == EdgeKind::Data)
-                .map(|e| self.state.value[e.src.index()]),
-        );
-        let v = apply(kind, &ops, self.inv);
-        self.operands = ops;
-        v
+    /// Applies a node's operator to its data operands, streamed from the
+    /// value column in the plan's operand order.
+    fn eval_node(&self, n: NodeId) -> u64 {
+        let values = &self.state.value;
+        let operands = self.plan.data_sources(n).iter().map(|s| values[s.index()]);
+        apply(node_kind(self.region, n), operands, self.inv)
     }
 
     /// Attempts the memory stage of a load/store: the core checks address
@@ -613,22 +559,6 @@ impl<'a> SchedCore<'a> {
         }
     }
 
-    pub(crate) fn has_forward_in(&self, n: NodeId) -> bool {
-        self.region
-            .dfg
-            .in_edges(n)
-            .any(|e| e.kind == EdgeKind::Forward)
-    }
-
-    fn forward_value(&self, n: NodeId) -> u64 {
-        self.region
-            .dfg
-            .in_edges(n)
-            .find(|e| e.kind == EdgeKind::Forward)
-            .map(|e| self.state.value[e.src.index()])
-            .expect("forward edge present")
-    }
-
     /// The gate-free memory stage: all ordering gates passed, go to memory
     /// (or consume the forwarded value).
     pub(crate) fn issue_dataflow(&mut self, t: u64, n: NodeId) {
@@ -639,10 +569,10 @@ impl<'a> SchedCore<'a> {
             self.scratch_access(t, n);
             return;
         }
-        if is_load && self.has_forward_in(n) {
+        if let Some(src) = self.plan.forward_source(n).filter(|_| is_load) {
             // Memory dependence became a data dependence: no cache access.
             self.state.issued[n.index()] = true;
-            let v = self.forward_value(n);
+            let v = self.state.value[src.index()];
             let v = self.consume_forward(t, n, v, "forward into node");
             self.state.value[n.index()] = v;
             self.counts.forwards += 1;
@@ -737,30 +667,22 @@ impl<'a> SchedCore<'a> {
             return;
         }
         self.state.completed[n.index()] = t;
-        let region = self.region;
-        for e in region.dfg.out_edges(n) {
-            let dst = e.dst;
-            let route = self
-                .config
-                .latency
-                .route_latency(self.placement.hops(e.src, dst));
-            let local = is_scratch(region, n) && is_scratch(region, dst);
-            match e.kind {
-                EdgeKind::Data => {
+        for k in self.plan.out_range(n) {
+            let OutEdge { dst, class, route } = self.plan.out_edge(k);
+            let at = t + route;
+            match class {
+                OutClass::Data => {
                     self.counts.data_links += 1;
-                    self.push(t + route, Ev::Data(dst));
+                    self.push(at, Ev::Data(dst));
                 }
                 // Forward payloads were already sent when the store's
                 // value became available (see the Store arm of `fire`).
-                EdgeKind::Forward => {}
+                OutClass::LocalForward | OutClass::Forward => {}
                 // Local (scratchpad) dependencies are register dataflow:
                 // honoured everywhere, no MDE energy.
-                EdgeKind::Order | EdgeKind::May if local => {
-                    self.push_token(t + route, dst);
-                }
-                EdgeKind::Order | EdgeKind::May => {
-                    policy.on_completion_edge(self, t + route, dst, e.kind);
-                }
+                OutClass::LocalToken => self.push_token(at, dst),
+                OutClass::Order => policy.on_completion_edge(self, at, dst, EdgeKind::Order),
+                OutClass::May => policy.on_completion_edge(self, at, dst, EdgeKind::May),
             }
         }
         policy.on_complete(self, t, n);
@@ -780,9 +702,7 @@ impl<'a> SchedCore<'a> {
         // in. Scratchpad-local MAY edges become plain tokens (no check).
         let mut site_at = vec![false; self.region.dfg.num_nodes()];
         for e in self.region.dfg.edges() {
-            if e.kind == EdgeKind::May
-                && !(is_scratch(self.region, e.src) && is_scratch(self.region, e.dst))
-            {
+            if e.kind == EdgeKind::May && !(self.is_scratch(e.src) && self.is_scratch(e.dst)) {
                 site_at[e.dst.index()] = true;
             }
         }

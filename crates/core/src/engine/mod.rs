@@ -14,8 +14,9 @@
 //!   functional execution, memory-port arbitration and the watchdog. It
 //!   knows nothing about disambiguation and never branches on the
 //!   backend. Its shared vocabulary lives beside it: [`calendar`] (the
-//!   per-cycle bandwidth calendar) and [`state`] (events, per-node
-//!   scheduler state, stall causes).
+//!   per-cycle bandwidth calendar), [`queue`] (the event calendar),
+//!   [`plan`] (the run-invariant gate census and fan-out tables) and
+//!   [`state`] (events, per-node scheduler state, stall causes).
 //! * [`policy`] — the [`policy::DisambiguationPolicy`] trait: hooks for
 //!   op-issue gating, memory-request admission, completion/release and
 //!   stall attribution. One implementation per backend lives under
@@ -45,6 +46,7 @@ use nachos_mem::{CacheStats, DataMemory};
 pub(crate) mod arena;
 pub(crate) mod calendar;
 pub(crate) mod core;
+pub(crate) mod plan;
 pub(crate) mod policy;
 pub(crate) mod queue;
 pub(crate) mod state;
@@ -261,7 +263,10 @@ fn simulate_observed<'a>(
     }
     let placement = Placement::compute(&region.dfg, config.grid)?;
     let (bufs, policy) = arena.split(backend, config);
-    let mut core = SchedCore::new(region, binding, backend, config, placement, bufs, sink);
+    let gate = |kind| policy.edge_gate(kind);
+    let mut core = SchedCore::new(
+        region, binding, backend, config, placement, bufs, sink, gate,
+    );
     // Drive a monomorphized event loop per backend: the policy hooks sit
     // on the engine's hottest path, and concrete dispatch lets them
     // inline where a `dyn` call could not.
@@ -283,6 +288,8 @@ fn drive<P: DisambiguationPolicy>(
     config: &SimConfig,
     energy: &EnergyModel,
 ) -> Result<SimResult, SimError> {
+    debug_assert_eq!(policy.backend(), core.backend, "arena pooled wrong policy");
+    policy.prepare_run(core);
     for inv in 0..config.invocations {
         core.run_invocation(policy, inv)?;
     }

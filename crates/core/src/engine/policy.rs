@@ -7,7 +7,8 @@
 //! | hook                  | decision                                        |
 //! |-----------------------|-------------------------------------------------|
 //! | `edge_gate`           | op-issue gating: how a non-local MDE gates issue |
-//! | `after_gating`        | program-order setup (LSQ alloc, MAY sites)       |
+//! | `prepare_run`         | per-run tables (ages, MAY sites, oracle edges)   |
+//! | `after_gating`        | per-invocation setup (LSQ alloc, site reset)     |
 //! | `on_stores_resolved`  | early store-address broadcast                    |
 //! | `on_load_address`     | load-address broadcast (comparator wake-up)      |
 //! | `on_store_data`       | store data-ready (LSQ data path)                 |
@@ -21,10 +22,10 @@
 //! A new scheme (speculative, scratchpad-routed, hybrid…) is a new
 //! implementation of this trait under `policy/` — not an engine fork.
 
-use crate::config::{Backend, SimConfig};
+use crate::config::Backend;
 use crate::energy::EventCounts;
 use crate::error::SimError;
-use nachos_ir::{Edge, EdgeKind, NodeId};
+use nachos_ir::{EdgeKind, NodeId};
 use nachos_lsq::BloomStats;
 
 use super::core::SchedCore;
@@ -60,24 +61,26 @@ pub(crate) trait DisambiguationPolicy {
     /// The backend this policy implements (diagnostics / fault scoping).
     fn backend(&self) -> Backend;
 
+    /// Classifies how a non-local memory-dependence edge of `kind`
+    /// (FORWARD, ORDER or MAY; never DATA, never scratchpad-local) gates
+    /// its destination. The answer must hold for the whole run: the core
+    /// folds it into the run's [`RunPlan`](super::plan::RunPlan) once. A
+    /// gate that depends on the invocation (IDEAL's oracle) is
+    /// [`EdgeGate::Ignore`] here and added in
+    /// [`after_gating`](Self::after_gating).
+    fn edge_gate(&self, kind: EdgeKind) -> EdgeGate;
+
     /// Resets all per-run state so a pooled policy can be reused by a new
-    /// simulation with `config`.
-    fn prepare_run(&mut self, config: &SimConfig);
+    /// simulation, and builds the policy's run-invariant tables from the
+    /// core's region, placement and plan. Runs once, before the first
+    /// invocation.
+    fn prepare_run(&mut self, core: &SchedCore);
 
-    /// Starts an invocation: clear per-invocation policy state. Runs
-    /// before edge classification.
-    fn begin_invocation(&mut self, _core: &mut SchedCore, _t0: u64) {}
-
-    /// Classifies how one non-local memory-dependence edge (FORWARD,
-    /// ORDER or MAY; never DATA, never scratchpad-local) gates its
-    /// destination.
-    fn edge_gate(&mut self, core: &SchedCore, e: &Edge) -> EdgeGate;
-
-    /// Program-order setup after all node gates are in place: LSQ
-    /// allocation, MAY-site construction.
+    /// Per-invocation setup after the core reset every node's gates from
+    /// the plan: LSQ allocation, comparator-site reset, oracle gating.
     fn after_gating(&mut self, _core: &mut SchedCore, _t0: u64) {}
 
-    /// Store addresses resolved (all of `core.store_nodes`, program
+    /// Store addresses resolved (all of `core.plan.stores`, program
     /// order, ready at `t0 + agen`).
     fn on_stores_resolved(&mut self, _core: &mut SchedCore, _t0: u64, _agen: u64) {}
 

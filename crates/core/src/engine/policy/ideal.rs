@@ -7,15 +7,28 @@
 //! could achieve. ORDER and FORWARD edges are real dependencies and are
 //! honoured as under NACHOS.
 
-use crate::config::{Backend, SimConfig};
-use nachos_ir::{Edge, EdgeKind, NodeId};
+use crate::config::Backend;
+use nachos_ir::{EdgeKind, NodeId};
 
 use super::super::core::SchedCore;
 use super::super::state::Ev;
 use super::{dataflow_admit, DisambiguationPolicy, EdgeGate};
 
+/// One non-local MAY edge the oracle judges each invocation.
+#[derive(Clone, Copy)]
+struct OracleEdge {
+    older: NodeId,
+    younger: NodeId,
+    /// Mesh links from the older op's FU to the younger's.
+    hops: u32,
+}
+
 #[derive(Default)]
 pub(crate) struct IdealPolicy {
+    /// The run's non-local MAY edges in (destination node, in-edge)
+    /// order, so conflicting edges append to `waiters` in the same order
+    /// a per-node walk of the graph would.
+    mays: Vec<OracleEdge>,
     /// Younger ops gated by a true conflict, indexed by the older node.
     waiters: Vec<Vec<(NodeId, u32)>>,
 }
@@ -36,37 +49,52 @@ impl DisambiguationPolicy for IdealPolicy {
         Backend::Ideal
     }
 
-    fn prepare_run(&mut self, _config: &SimConfig) {
-        self.waiters.clear();
+    /// MAY gates depend on the invocation's addresses: they are added by
+    /// the oracle in `after_gating`, not fixed for the run.
+    fn edge_gate(&self, kind: EdgeKind) -> EdgeGate {
+        match kind {
+            EdgeKind::Forward | EdgeKind::Data => EdgeGate::Data,
+            EdgeKind::Order => EdgeGate::Token,
+            EdgeKind::May => EdgeGate::Ignore,
+        }
     }
 
-    fn begin_invocation(&mut self, core: &mut SchedCore, _t0: u64) {
-        let n = core.region.dfg.num_nodes();
-        if self.waiters.len() < n {
-            self.waiters.resize(n, Vec::new());
+    fn prepare_run(&mut self, core: &SchedCore) {
+        let dfg = &core.region.dfg;
+        self.mays.clear();
+        for n in dfg.node_ids() {
+            for e in dfg.in_edges(n) {
+                if e.kind == EdgeKind::May && !(core.is_scratch(e.src) && core.is_scratch(n)) {
+                    self.mays.push(OracleEdge {
+                        older: e.src,
+                        younger: n,
+                        hops: core.placement.hops(e.src, n),
+                    });
+                }
+            }
         }
+        if self.waiters.len() < dfg.num_nodes() {
+            self.waiters.resize(dfg.num_nodes(), Vec::new());
+        }
+    }
+
+    /// Oracle gating: a true dependence holds the younger op for the
+    /// older op's completion (plus routing), and no less; a false MAY
+    /// costs nothing.
+    fn after_gating(&mut self, core: &mut SchedCore, _t0: u64) {
         for w in &mut self.waiters {
             w.clear();
         }
-    }
-
-    fn edge_gate(&mut self, core: &SchedCore, e: &Edge) -> EdgeGate {
-        match e.kind {
-            EdgeKind::Forward => EdgeGate::Data,
-            EdgeKind::Order => EdgeGate::Token,
-            EdgeKind::May => {
-                if Self::conflicts(core, e.src, e.dst) {
-                    // A true dependence: the younger op must wait for the
-                    // older op's completion (plus routing), and no less.
-                    let hops = core.placement.hops(e.src, e.dst);
-                    self.waiters[e.src.index()].push((e.dst, hops));
-                    EdgeGate::May
-                } else {
-                    // Perfect disambiguation: the false MAY costs nothing.
-                    EdgeGate::Ignore
-                }
+        for &OracleEdge {
+            older,
+            younger,
+            hops,
+        } in &self.mays
+        {
+            if Self::conflicts(core, older, younger) {
+                core.state.may_pending[younger.index()] += 1;
+                self.waiters[older.index()].push((younger, hops));
             }
-            EdgeKind::Data => EdgeGate::Data,
         }
     }
 
@@ -91,13 +119,11 @@ impl DisambiguationPolicy for IdealPolicy {
     /// Release every younger op whose true conflict this completion
     /// resolves — at completion + route, the earliest sound release.
     fn on_complete(&mut self, core: &mut SchedCore, t: u64, n: NodeId) {
-        if self.waiters.len() <= n.index() {
-            return;
-        }
-        let waiters = std::mem::take(&mut self.waiters[n.index()]);
-        for (younger, hops) in waiters {
+        let waiters = &mut self.waiters[n.index()];
+        for &(younger, hops) in waiters.iter() {
             let route = core.config.latency.route_latency(hops);
             core.push(t + route, Ev::Release(younger));
         }
+        waiters.clear();
     }
 }

@@ -4,47 +4,50 @@
 //! addresses do not overlap, and otherwise holds it until the older op
 //! completes (paper §VI–VII). One comparator per site arbitrates checks.
 
-use crate::config::{Backend, SimConfig};
-use nachos_ir::{Edge, EdgeKind, NodeId};
+use crate::config::Backend;
+use nachos_ir::{EdgeKind, NodeId};
 
 use super::super::calendar::Calendar;
-use super::super::core::{is_scratch, SchedCore};
+use super::super::core::SchedCore;
 use super::super::state::Ev;
 use super::{dataflow_admit, DisambiguationPolicy, EdgeGate};
 use crate::fault::{FaultClass, FaultKind};
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct MayEdge {
     older: NodeId,
     younger: NodeId,
     /// Mesh links from the older op's FU to the younger's comparator.
     hops: u32,
-    checked: bool,
+    /// The younger op's comparator-site slot.
+    site: u32,
 }
 
-/// "Node hosts no comparator site" sentinel in [`NachosPolicy::site_of`].
-const NO_SITE: usize = usize::MAX;
+/// "Node hosts no comparator site" sentinel while assigning sites.
+const NO_SITE: u32 = u32::MAX;
 
+/// The MAY-edge table and comparator sites are fixed for a run (built in
+/// `prepare_run`); each invocation resets only the `checked` flags, the
+/// site calendars and the conflict waiters.
 #[derive(Default)]
 pub(crate) struct NachosPolicy {
+    /// The run's non-local MAY edges, in graph edge order.
     may_edges: Vec<MayEdge>,
+    /// This invocation's `==?` check already happened, per MAY edge.
+    checked: Vec<bool>,
     /// Younger nodes waiting for an older op's completion (conflict case).
     conflict_waiters: Vec<Vec<(NodeId, u32)>>,
-    /// Comparator-site slot per node ([`NO_SITE`] = none), rebuilt each
-    /// invocation. Dense-by-`NodeId` so the check path is an index, not a
-    /// hash probe.
-    site_of: Vec<usize>,
-    /// Comparator-site calendars, indexed by the slots in `site_of`.
-    /// Pooled across invocations (slots are re-assigned in deterministic
-    /// edge order, so capacity carries over).
+    /// Comparator-site calendars; the first `sites` are this run's, in
+    /// order of first appearance of their younger node in the edge order.
+    /// Pooled across runs, so capacity carries over.
     site_cals: Vec<Calendar>,
+    sites: usize,
     /// Per-node MAY-edge index lists (edges where the node is older or
-    /// younger), in ascending edge order. Built once per invocation so
-    /// address resolution walks only the node's own edges instead of
-    /// scanning the whole table.
+    /// younger), in ascending edge order, so address resolution walks
+    /// only the node's own edges instead of scanning the whole table.
     edges_of: Vec<Vec<u32>>,
-    /// Scratch for the indices of edges to re-check.
-    to_check: Vec<usize>,
+    /// Scratch: comparator slot per node while assigning sites.
+    site_of: Vec<u32>,
 }
 
 impl NachosPolicy {
@@ -52,23 +55,25 @@ impl NachosPolicy {
     /// participates in (as older: route the address to the younger's
     /// comparator; as younger: its own checks can begin).
     fn propagate_may_addresses(&mut self, core: &mut SchedCore, addr_t: u64, n: NodeId) {
-        let mut to_check = std::mem::take(&mut self.to_check);
-        to_check.clear();
-        to_check.extend(self.edges_of[n.index()].iter().map(|&idx| idx as usize));
-        for &idx in &to_check {
+        let i = n.index();
+        for k in 0..self.edges_of[i].len() {
+            let idx = self.edges_of[i][k] as usize;
             self.try_may_check(core, addr_t, idx);
         }
-        self.to_check = to_check;
     }
 
     /// Performs the `==?` check of one MAY edge if both addresses are
     /// available, honouring the per-site single-comparator arbitration.
     fn try_may_check(&mut self, core: &mut SchedCore, now: u64, idx: usize) {
-        let e = &self.may_edges[idx];
-        if e.checked {
+        if self.checked[idx] {
             return;
         }
-        let (older, younger, hops) = (e.older, e.younger, e.hops);
+        let MayEdge {
+            older,
+            younger,
+            hops,
+            site,
+        } = self.may_edges[idx];
         let (Some(older_addr_t), Some(younger_addr_t)) = (
             core.state.addr_ready_at(older.index()),
             core.state.addr_ready_at(younger.index()),
@@ -79,12 +84,10 @@ impl NachosPolicy {
         let ready = now
             .max(older_addr_t + core.config.latency.route_latency(hops))
             .max(younger_addr_t);
-        let slot = self.site_of[younger.index()];
-        debug_assert_ne!(slot, NO_SITE, "site registered for may edge");
-        let check_t = self.site_cals[slot].claim(ready);
+        let check_t = self.site_cals[site as usize].claim(ready);
         // Cycles the check spent queued behind the site's single comparator.
         core.stalls.comparator += check_t - ready;
-        self.may_edges[idx].checked = true;
+        self.checked[idx] = true;
         core.counts.may_checks += 1;
         let a = (
             core.state.addr[older.index()],
@@ -130,16 +133,8 @@ impl DisambiguationPolicy for NachosPolicy {
         Backend::Nachos
     }
 
-    fn prepare_run(&mut self, _config: &SimConfig) {
-        self.may_edges.clear();
-        self.conflict_waiters.clear();
-        self.site_of.clear();
-        self.site_cals.clear();
-        self.edges_of.clear();
-    }
-
-    fn edge_gate(&mut self, _core: &SchedCore, e: &Edge) -> EdgeGate {
-        match e.kind {
+    fn edge_gate(&self, kind: EdgeKind) -> EdgeGate {
+        match kind {
             EdgeKind::Forward => EdgeGate::Data,
             EdgeKind::Order => EdgeGate::Token,
             // Unresolved until the comparator releases it.
@@ -148,17 +143,12 @@ impl DisambiguationPolicy for NachosPolicy {
         }
     }
 
-    /// Build the MAY-edge table and comparator sites for this invocation.
-    fn after_gating(&mut self, core: &mut SchedCore, _t0: u64) {
-        let region = core.region;
-        let n = region.dfg.num_nodes();
+    /// Build the run's MAY-edge table, per-node edge lists and comparator
+    /// sites.
+    fn prepare_run(&mut self, core: &SchedCore) {
+        let dfg = &core.region.dfg;
+        let n = dfg.num_nodes();
         self.may_edges.clear();
-        if self.conflict_waiters.len() < n {
-            self.conflict_waiters.resize(n, Vec::new());
-        }
-        for w in &mut self.conflict_waiters {
-            w.clear();
-        }
         self.site_of.clear();
         self.site_of.resize(n, NO_SITE);
         if self.edges_of.len() < n {
@@ -167,38 +157,55 @@ impl DisambiguationPolicy for NachosPolicy {
         for l in &mut self.edges_of {
             l.clear();
         }
-        let width = core.config.comparators_per_site;
-        let mut slots = 0usize;
-        for e in region.dfg.edges() {
-            if e.kind == EdgeKind::May && !(is_scratch(region, e.src) && is_scratch(region, e.dst))
-            {
-                let idx = u32::try_from(self.may_edges.len()).expect("edge count fits u32");
-                self.edges_of[e.src.index()].push(idx);
-                if e.dst != e.src {
-                    self.edges_of[e.dst.index()].push(idx);
-                }
-                self.may_edges.push(MayEdge {
-                    older: e.src,
-                    younger: e.dst,
-                    hops: core.placement.hops(e.src, e.dst),
-                    checked: false,
-                });
-                if self.site_of[e.dst.index()] == NO_SITE {
-                    self.site_of[e.dst.index()] = slots;
-                    if slots < self.site_cals.len() {
-                        self.site_cals[slots].reset(width);
-                    } else {
-                        self.site_cals.push(Calendar::new(width));
-                    }
-                    slots += 1;
-                }
+        let mut sites = 0u32;
+        for e in dfg.edges() {
+            if e.kind != EdgeKind::May || (core.is_scratch(e.src) && core.is_scratch(e.dst)) {
+                continue;
             }
+            let idx = u32::try_from(self.may_edges.len()).expect("edge count fits u32");
+            self.edges_of[e.src.index()].push(idx);
+            if e.dst != e.src {
+                self.edges_of[e.dst.index()].push(idx);
+            }
+            let site = &mut self.site_of[e.dst.index()];
+            if *site == NO_SITE {
+                *site = sites;
+                sites += 1;
+            }
+            self.may_edges.push(MayEdge {
+                older: e.src,
+                younger: e.dst,
+                hops: core.placement.hops(e.src, e.dst),
+                site: *site,
+            });
+        }
+        self.sites = sites as usize;
+        let width = core.config.comparators_per_site;
+        while self.site_cals.len() < self.sites {
+            self.site_cals.push(Calendar::new(width));
+        }
+        self.checked.clear();
+        self.checked.resize(self.may_edges.len(), false);
+        if self.conflict_waiters.len() < n {
+            self.conflict_waiters.resize(n, Vec::new());
+        }
+    }
+
+    /// Per invocation: every check re-arms, every site calendar empties.
+    fn after_gating(&mut self, core: &mut SchedCore, _t0: u64) {
+        self.checked.fill(false);
+        for w in &mut self.conflict_waiters {
+            w.clear();
+        }
+        let width = core.config.comparators_per_site;
+        for cal in &mut self.site_cals[..self.sites] {
+            cal.reset(width);
         }
     }
 
     fn on_stores_resolved(&mut self, core: &mut SchedCore, t0: u64, agen: u64) {
-        for i in 0..core.store_nodes.len() {
-            let n = core.store_nodes[i];
+        for k in 0..core.plan.stores.len() {
+            let n = core.plan.stores[k];
             self.propagate_may_addresses(core, t0 + agen, n);
         }
     }
@@ -227,13 +234,11 @@ impl DisambiguationPolicy for NachosPolicy {
 
     /// Conflicting younger ops waiting on this completion.
     fn on_complete(&mut self, core: &mut SchedCore, t: u64, n: NodeId) {
-        if self.conflict_waiters.len() <= n.index() {
-            return;
-        }
-        let waiters = std::mem::take(&mut self.conflict_waiters[n.index()]);
-        for (younger, hops) in waiters {
+        let waiters = &mut self.conflict_waiters[n.index()];
+        for &(younger, hops) in waiters.iter() {
             let route = core.config.latency.route_latency(hops);
             core.push(t + route, Ev::Release(younger));
         }
+        waiters.clear();
     }
 }

@@ -2,8 +2,8 @@
 //! like MUST edges (paper §V) — every dependence is a 1-bit completion
 //! token over the operand network, and no comparator hardware exists.
 
-use crate::config::{Backend, SimConfig};
-use nachos_ir::{Edge, EdgeKind, NodeId};
+use crate::config::Backend;
+use nachos_ir::{EdgeKind, NodeId};
 
 use super::super::core::SchedCore;
 use super::super::state::Ev;
@@ -17,10 +17,8 @@ impl DisambiguationPolicy for NachosSwPolicy {
         Backend::NachosSw
     }
 
-    fn prepare_run(&mut self, _config: &SimConfig) {}
-
-    fn edge_gate(&mut self, _core: &SchedCore, e: &Edge) -> EdgeGate {
-        match e.kind {
+    fn edge_gate(&self, kind: EdgeKind) -> EdgeGate {
+        match kind {
             EdgeKind::Forward => EdgeGate::Data,
             // MAY is conservatively serialized: an ordering token, same
             // as MUST.
@@ -28,6 +26,8 @@ impl DisambiguationPolicy for NachosSwPolicy {
             EdgeKind::Data => EdgeGate::Data,
         }
     }
+
+    fn prepare_run(&mut self, _core: &SchedCore) {}
 
     /// Forwarded values ride the operand network as MUST-edge traffic.
     fn on_forward_edge(&mut self, core: &mut SchedCore, at: u64, dst: NodeId) {

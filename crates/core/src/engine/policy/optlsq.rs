@@ -7,19 +7,22 @@
 use crate::config::{Backend, SimConfig};
 use crate::energy::EventCounts;
 use crate::error::{DeadlockCause, SimError};
-use nachos_ir::{Edge, NodeId};
+use nachos_ir::{EdgeKind, NodeId};
 use nachos_lsq::{BloomStats, LoadSearch, Lsq, StoreSearch};
 
-use super::super::core::SchedCore;
+use super::super::core::{node_kind, SchedCore};
 use super::super::state::{Ev, StallCause};
 use super::{DisambiguationPolicy, EdgeGate};
 
+/// Ages and per-age kinds are fixed for a run (built in `prepare_run`);
+/// each invocation resets only the binding flags, the blocked set and the
+/// LSQ itself.
 pub(crate) struct OptLsqPolicy {
     lsq: Lsq,
-    /// Node -> disambiguation age for the current invocation.
+    /// Node -> disambiguation age (program order among the memory ops
+    /// that need disambiguation).
     ages: Vec<Option<u32>>,
-    /// Inverse mapping age -> node, rebuilt at allocation time so LSQ
-    /// forwards resolve in O(1).
+    /// Inverse mapping age -> node, so LSQ forwards resolve in O(1).
     age_nodes: Vec<NodeId>,
     /// The node's address has been bound into the LSQ.
     bound: Vec<bool>,
@@ -29,7 +32,7 @@ pub(crate) struct OptLsqPolicy {
     blocked: Vec<NodeId>,
     /// Swap buffer so waking the blocked set never reallocates.
     wake_scratch: Vec<NodeId>,
-    /// Per-age store/load kinds (reused scratch).
+    /// Per-age store/load kinds.
     kinds: Vec<bool>,
     /// Allocation reference point: the cycle this invocation's in-order
     /// allocation began.
@@ -76,54 +79,51 @@ impl DisambiguationPolicy for OptLsqPolicy {
         Backend::OptLsq
     }
 
-    fn prepare_run(&mut self, config: &SimConfig) {
+    /// Non-local MDEs never gate issue under the LSQ: FORWARD degenerates
+    /// to a queue search hit, ORDER/MAY are discharged by disambiguation.
+    fn edge_gate(&self, _kind: EdgeKind) -> EdgeGate {
+        EdgeGate::Ignore
+    }
+
+    /// Assign program-order ages to the memory ops that need
+    /// disambiguation.
+    fn prepare_run(&mut self, core: &SchedCore) {
+        let config = core.config;
         if self.lsq.config() == &config.lsq {
             self.lsq.reset();
         } else {
             self.lsq = Lsq::new(config.lsq);
         }
+        let region = core.region;
+        let n = region.dfg.num_nodes();
         self.ages.clear();
+        self.ages.resize(n, None);
         self.age_nodes.clear();
-        self.bound.clear();
-        self.alloc_charged.clear();
-        self.blocked.clear();
         self.kinds.clear();
+        let disambig = region.dfg.mem_ops().iter().copied().filter(|&op| {
+            node_kind(region, op)
+                .mem_ref()
+                .is_some_and(nachos_ir::MemRef::needs_disambiguation)
+        });
+        for (age, node) in disambig.enumerate() {
+            self.kinds.push(node_kind(region, node).is_store());
+            self.ages[node.index()] = Some(age as u32);
+            self.age_nodes.push(node);
+        }
         self.alloc_t0 = 0;
-    }
-
-    /// Non-local MDEs never gate issue under the LSQ: FORWARD degenerates
-    /// to a queue search hit, ORDER/MAY are discharged by disambiguation.
-    fn edge_gate(&mut self, _core: &SchedCore, _e: &Edge) -> EdgeGate {
-        EdgeGate::Ignore
     }
 
     /// Allocate entries in program order with port bandwidth.
     fn after_gating(&mut self, core: &mut SchedCore, t0: u64) {
-        let n = core.region.dfg.num_nodes();
-        self.ages.clear();
-        self.ages.resize(n, None);
-        self.age_nodes.clear();
+        let n = self.ages.len();
         self.bound.clear();
         self.bound.resize(n, false);
         self.alloc_charged.clear();
         self.alloc_charged.resize(n, false);
         self.blocked.clear();
         self.alloc_t0 = t0;
-        self.kinds.clear();
-        let region = core.region;
-        let disambig = region.dfg.mem_ops().iter().copied().filter(|&op| {
-            super::super::core::node_kind(region, op)
-                .mem_ref()
-                .is_some_and(nachos_ir::MemRef::needs_disambiguation)
-        });
-        let apc = u64::from(self.lsq.config().alloc_per_cycle);
-        for (age, node) in disambig.enumerate() {
-            self.kinds
-                .push(super::super::core::node_kind(region, node).is_store());
-            self.ages[node.index()] = Some(age as u32);
-            self.age_nodes.push(node);
-        }
         self.lsq.begin_invocation(&self.kinds);
+        let apc = u64::from(self.lsq.config().alloc_per_cycle);
         for age in 0..self.age_nodes.len() {
             let cycle = t0 + age as u64 / apc;
             let got = self.lsq.allocate_next(cycle);
@@ -135,8 +135,8 @@ impl DisambiguationPolicy for OptLsqPolicy {
     /// Stores can bind and pre-search as soon as allocated.
     fn on_stores_resolved(&mut self, core: &mut SchedCore, t0: u64, agen: u64) {
         let apc = u64::from(self.lsq.config().alloc_per_cycle);
-        for i in 0..core.store_nodes.len() {
-            let n = core.store_nodes[i];
+        for k in 0..core.plan.stores.len() {
+            let n = core.plan.stores[k];
             if let Some(age) = self.age_of(n) {
                 let at = (t0 + agen).max(t0 + u64::from(age) / apc);
                 core.push(at, Ev::TryMem(n));

@@ -10,6 +10,8 @@
 
 use nachos_ir::NodeId;
 
+use super::plan::RunPlan;
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Ev {
     /// A data or forward payload arrived at `node`.
@@ -54,7 +56,7 @@ impl StallCause {
 /// watchdog bounds real cycles far below it.
 pub(crate) const NO_CYCLE: u64 = u64::MAX;
 
-/// Structure-of-arrays per-node scheduler state, rebuilt each invocation.
+/// Structure-of-arrays per-node scheduler state, reset each invocation.
 ///
 /// Cycle-valued columns (`fired`, `addr_ready`, `completed`,
 /// `blocked_at`) use [`NO_CYCLE`] as "unset"; the accessors expose the
@@ -110,6 +112,15 @@ impl NodeTable {
         refill(&mut self.issued, n, false);
         refill(&mut self.blocked_at, n, NO_CYCLE);
         refill(&mut self.blocked_cause, n, StallCause::Token);
+    }
+
+    /// Resets every column for a new invocation, taking the pending
+    /// counters from the run's precomputed initial census.
+    pub(crate) fn reset_from(&mut self, plan: &RunPlan) {
+        self.reset(plan.data_pending.len());
+        self.data_pending.copy_from_slice(&plan.data_pending);
+        self.token_pending.copy_from_slice(&plan.token_pending);
+        self.may_pending.copy_from_slice(&plan.may_pending);
     }
 
     #[inline]

@@ -218,11 +218,14 @@ impl FaultState {
         backend: Backend,
         class: FaultClass,
     ) -> Option<FaultKind> {
-        let n = self.counters[class.index()];
-        self.counters[class.index()] += 1;
+        // Without a plan nothing can fire, and the counters are read only
+        // to match specs: skip the bookkeeping on the engine's per-event
+        // path.
         if plan.is_empty() {
             return None;
         }
+        let n = self.counters[class.index()];
+        self.counters[class.index()] += 1;
         plan.faults
             .iter()
             .find(|s| {

@@ -65,7 +65,7 @@
 
 use super::journal::{
     file_lacks_final_newline, parse_json, read_bounded_line, BoundedLine, Journal, Json,
-    MAX_RECORD_LEN,
+    MAX_JSON_DEPTH, MAX_RECORD_LEN,
 };
 use super::{run_sweep_journaled, RunStatus, SweepConfig, SweepJob};
 use crate::config::CancelToken;
@@ -1220,10 +1220,15 @@ fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
             continue;
         }
         let Some(req) = parse_json(&line) else {
-            // Covers torn request lines (client died mid-write): the
-            // fragment fails to parse and is answered, not executed.
+            // Covers torn request lines (client died mid-write) and
+            // hostile nesting (rejected at `MAX_JSON_DEPTH` levels, not
+            // by overflowing this thread's stack): the line fails to
+            // parse and is answered, not executed.
             let mut r = Response::err("bad_request");
-            r.w.str_field("detail", "request is not a JSON object");
+            r.w.str_field(
+                "detail",
+                &format!("request is not a JSON object nested at most {MAX_JSON_DEPTH} deep"),
+            );
             if r.send(&mut out).is_err() {
                 return;
             }

@@ -948,14 +948,23 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Every document
+/// the system writes nests only a few levels; the cap bounds the
+/// parser's recursion, so hostile input (say, one request line of
+/// `[[[[…`) is a parse error instead of a stack overflow that aborts the
+/// whole process.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses one JSON document (with nothing but whitespace after it).
-/// Returns `None` on any syntax error — the journal treats unparsable
-/// lines as lost work, not fatal corruption.
+/// Returns `None` on any syntax error or on nesting deeper than
+/// [`MAX_JSON_DEPTH`] — the journal treats unparsable lines as lost
+/// work, not fatal corruption.
 #[must_use]
 pub fn parse_json(text: &str) -> Option<Json> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -970,6 +979,8 @@ pub fn parse_json(text: &str) -> Option<Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -994,8 +1005,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Option<Json> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return None;
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => self.string().map(Json::Str),
             b't' => self.literal(b"true", Json::Bool(true)),
             b'f' => self.literal(b"false", Json::Bool(false)),
@@ -1506,5 +1528,26 @@ mod tests {
         assert!(parse_json("{} trailing").is_none());
         assert!(parse_json("{\"a\": }").is_none());
         assert!(parse_json("[1, 2").is_none());
+    }
+
+    #[test]
+    fn nesting_beyond_the_cap_is_a_parse_error_not_a_stack_overflow() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse_json(&nest(MAX_JSON_DEPTH)).is_some());
+        assert!(parse_json(&nest(MAX_JSON_DEPTH + 1)).is_none());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\": ".repeat(MAX_JSON_DEPTH + 1),
+            "}".repeat(MAX_JSON_DEPTH + 1)
+        );
+        assert!(parse_json(&objects).is_none());
+        // Far past the cap (and unterminated) on a small stack: rejected
+        // without recursing once per byte.
+        let hostile = "[".repeat(1 << 20);
+        let probe = std::thread::Builder::new()
+            .stack_size(512 << 10)
+            .spawn(move || parse_json(&hostile).is_none())
+            .expect("spawn");
+        assert!(probe.join().expect("no stack overflow"));
     }
 }

@@ -60,21 +60,21 @@ impl CountingBloom {
         Self::new(256, 2)
     }
 
-    fn indices(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+    fn indices(&self, key: u64) -> impl Iterator<Item = usize> {
+        let len = self.counters.len() as u64;
         // SplitMix64-style remixing per hash function.
         (0..self.num_hashes).map(move |i| {
             let mut x = key ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(i) + 1));
             x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             x ^= x >> 31;
-            (x % self.counters.len() as u64) as usize
+            (x % len) as usize
         })
     }
 
     /// Inserts a key.
     pub fn insert(&mut self, key: u64) {
-        let idxs: Vec<usize> = self.indices(key).collect();
-        for i in idxs {
+        for i in self.indices(key) {
             self.counters[i] = self.counters[i].saturating_add(1);
         }
     }
@@ -86,8 +86,7 @@ impl CountingBloom {
     /// Panics (in debug builds) if the key was never inserted, which would
     /// corrupt the filter.
     pub fn remove(&mut self, key: u64) {
-        let idxs: Vec<usize> = self.indices(key).collect();
-        for i in idxs {
+        for i in self.indices(key) {
             debug_assert!(self.counters[i] > 0, "bloom underflow");
             self.counters[i] = self.counters[i].saturating_sub(1);
         }

@@ -90,20 +90,47 @@ pub enum StoreSearch {
     Blocked(u32),
 }
 
-#[derive(Clone, Debug)]
+/// [`Entry::flags`]: a store (else a load).
+const STORE: u8 = 1;
+/// The address (and bank) is bound.
+const BOUND: u8 = 1 << 1;
+/// Store value produced (stores only).
+const DATA_READY: u8 = 1 << 2;
+/// Access performed (cache response received / store committed).
+const COMPLETED: u8 = 1 << 3;
+/// Address deposited in the bloom filter.
+const DEPOSITED: u8 = 1 << 4;
+/// First search already counted for energy.
+const SEARCHED: u8 = 1 << 5;
+
+/// One age's state, packed into 16 bytes so the disambiguation scans
+/// stream over a dense array. Retirement is implicit: entries below
+/// [`Lsq::next_retire`] are retired (retirement is in order). The bank is
+/// not stored: it is a function of the bound address.
+#[derive(Clone, Copy, Debug)]
 struct Entry {
-    is_store: bool,
-    addr: Option<(u64, u8)>,
-    bank: Option<usize>,
-    /// Store value produced (stores only).
-    data_ready: bool,
-    /// Access performed (cache response received / store committed).
-    completed: bool,
-    retired: bool,
-    /// Address deposited in the bloom filter.
-    deposited: bool,
-    /// First search already counted for energy.
-    searched: bool,
+    /// Bound address (meaningful with [`BOUND`]).
+    addr: u64,
+    /// Exclusive upper end of this op's next disambiguation scan: every
+    /// older age at or above it was already proven irrelevant to this
+    /// op's verdict for the rest of the invocation (see
+    /// [`Lsq::scan_for_load`]).
+    scan_top: u32,
+    /// Access size in bytes (meaningful with [`BOUND`]).
+    size: u8,
+    flags: u8,
+}
+
+impl Entry {
+    #[inline]
+    fn has(self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    #[inline]
+    fn access(self) -> (u64, u8) {
+        (self.addr, self.size)
+    }
 }
 
 /// The OPT-LSQ. Ages are the region's program-order memory-operation
@@ -114,6 +141,7 @@ pub struct Lsq {
     config: LsqConfig,
     entries: Vec<Entry>,
     next_alloc: u32,
+    /// Every age below this one has retired, and none at or above it.
     next_retire: u32,
     bank_load: Vec<usize>,
     /// Bloom over in-flight store addresses (queried by loads).
@@ -169,24 +197,18 @@ impl Lsq {
     ///
     /// Panics if un-retired entries remain.
     pub fn begin_invocation(&mut self, is_store: &[bool]) {
-        assert!(
-            self.entries.iter().all(|e| e.retired),
-            "LSQ must drain between invocations"
-        );
+        assert!(self.is_drained(), "LSQ must drain between invocations");
         // In place: block-atomic invocations re-fill the same entry
         // vector every time, so keep its capacity across invocations
         // (and, via `reset`, across pooled runs).
         self.entries.clear();
-        self.entries.extend(is_store.iter().map(|&s| Entry {
-            is_store: s,
-            addr: None,
-            bank: None,
-            data_ready: false,
-            completed: false,
-            retired: false,
-            deposited: false,
-            searched: false,
-        }));
+        self.entries
+            .extend(is_store.iter().enumerate().map(|(age, &s)| Entry {
+                addr: 0,
+                scan_top: u32::try_from(age).expect("age fits u32"),
+                size: 0,
+                flags: if s { STORE } else { 0 },
+            }));
         self.next_alloc = 0;
         self.next_retire = 0;
         self.bank_load.fill(0);
@@ -253,15 +275,20 @@ impl Lsq {
     /// Panics if `age` is unallocated or already bound.
     pub fn bind_address(&mut self, age: u32, addr: u64, size: u8) {
         assert!(self.is_allocated(age), "bind before allocate");
-        let bank = (addr >> 6) as usize % self.config.banks;
+        let bank = self.bank_of(addr);
         let e = &mut self.entries[age as usize];
-        assert!(e.addr.is_none(), "address already bound");
+        assert!(!e.has(BOUND), "address already bound");
         if self.bank_load[bank] >= self.config.entries_per_bank {
             self.stats.bank_overflows += 1;
         }
         self.bank_load[bank] += 1;
-        e.addr = Some((addr, size));
-        e.bank = Some(bank);
+        e.addr = addr;
+        e.size = size;
+        e.flags |= BOUND;
+    }
+
+    fn bank_of(&self, addr: u64) -> usize {
+        (addr >> 6) as usize % self.config.banks
     }
 
     fn overlaps(a: (u64, u8), b: (u64, u8)) -> bool {
@@ -269,24 +296,31 @@ impl Lsq {
     }
 
     fn count_first_search(&mut self, age: u32) -> bool {
-        let first = !self.entries[age as usize].searched;
-        self.entries[age as usize].searched = true;
+        let e = &mut self.entries[age as usize];
+        let first = !e.has(SEARCHED);
+        e.flags |= SEARCHED;
         first
     }
 
     fn deposit(&mut self, age: u32) {
         let e = &mut self.entries[age as usize];
-        if !e.deposited {
-            if let Some((addr, _)) = e.addr {
-                let key = addr >> 3;
-                if e.is_store {
-                    self.sq_bloom.insert(key);
-                } else {
-                    self.lq_bloom.insert(key);
-                }
-                e.deposited = true;
+        if !e.has(DEPOSITED) && e.has(BOUND) {
+            let key = e.addr >> 3;
+            if e.has(STORE) {
+                self.sq_bloom.insert(key);
+            } else {
+                self.lq_bloom.insert(key);
             }
+            e.flags |= DEPOSITED;
         }
+    }
+
+    /// The bound entry at `age`, checked to be a store (`true`) or load.
+    fn bound_access(&self, age: u32, store: bool) -> (u64, u8) {
+        let e = self.entries[age as usize];
+        assert!(e.has(BOUND), "search before bind");
+        assert_eq!(e.has(STORE), store, "search on the wrong op kind");
+        e.access()
     }
 
     /// Disambiguation search for a load whose address is bound. Searches
@@ -296,8 +330,7 @@ impl Lsq {
     ///
     /// Panics if `age` is not a bound load.
     pub fn search_load(&mut self, age: u32) -> LoadSearch {
-        let my = self.entries[age as usize].addr.expect("search before bind");
-        assert!(!self.entries[age as usize].is_store, "load search on store");
+        let my = self.bound_access(age, false);
         let first = self.count_first_search(age);
         if first {
             let bloom_hit = self.sq_bloom.query(my.0 >> 3);
@@ -315,28 +348,50 @@ impl Lsq {
         result
     }
 
-    fn scan_for_load(&self, age: u32, my: (u64, u8)) -> LoadSearch {
-        // Youngest older store that matters.
-        for older in (0..age).rev() {
-            let e = &self.entries[older as usize];
-            if !e.is_store || e.retired {
+    /// The in-flight (unretired) ages below `age`'s scan top, youngest
+    /// first. Retirement is in order, so everything below `next_retire`
+    /// is gone and the scan never visits it.
+    fn scan_window(&self, age: u32) -> std::ops::Range<u32> {
+        let top = self.entries[age as usize].scan_top;
+        self.next_retire.min(top)..top
+    }
+
+    /// The youngest older store that matters to the load at `age`.
+    ///
+    /// Every older entry the scan passes over is irrelevant for good: a
+    /// load, or a bound store whose address does not overlap (bindings
+    /// and addresses never change within an invocation). So the scan
+    /// records where it stopped in `scan_top` and the next search of the
+    /// same op — the blocked-op retries — resumes there instead of
+    /// re-walking ages it has already cleared. The verdict is the one a
+    /// full walk from `age - 1` would reach.
+    fn scan_for_load(&mut self, age: u32, my: (u64, u8)) -> LoadSearch {
+        let window = self.scan_window(age);
+        let mut verdict = (window.start, LoadSearch::CanIssue);
+        for older in window.rev() {
+            let e = self.entries[older as usize];
+            if !e.has(STORE) {
                 continue;
             }
-            match e.addr {
-                None => return LoadSearch::Blocked(older),
-                Some(theirs) if Self::overlaps(my, theirs) => {
-                    return if theirs == my && e.data_ready {
-                        LoadSearch::Forward(older)
-                    } else if e.completed {
-                        LoadSearch::CanIssue
-                    } else {
-                        LoadSearch::Blocked(older)
-                    };
-                }
-                Some(_) => {}
+            if !e.has(BOUND) {
+                verdict = (older + 1, LoadSearch::Blocked(older));
+                break;
+            }
+            let theirs = e.access();
+            if Self::overlaps(my, theirs) {
+                let v = if theirs == my && e.has(DATA_READY) {
+                    LoadSearch::Forward(older)
+                } else if e.has(COMPLETED) {
+                    LoadSearch::CanIssue
+                } else {
+                    LoadSearch::Blocked(older)
+                };
+                verdict = (older + 1, v);
+                break;
             }
         }
-        LoadSearch::CanIssue
+        self.entries[age as usize].scan_top = verdict.0;
+        verdict.1
     }
 
     /// Disambiguation search for a store whose address is bound. Searches
@@ -346,8 +401,7 @@ impl Lsq {
     ///
     /// Panics if `age` is not a bound store.
     pub fn search_store(&mut self, age: u32) -> StoreSearch {
-        let my = self.entries[age as usize].addr.expect("search before bind");
-        assert!(self.entries[age as usize].is_store, "store search on load");
+        let my = self.bound_access(age, true);
         let first = self.count_first_search(age);
         if first {
             let hit = self.sq_bloom.query(my.0 >> 3) | self.lq_bloom.query(my.0 >> 3);
@@ -362,31 +416,33 @@ impl Lsq {
         result
     }
 
-    fn scan_for_store(&self, age: u32, my: (u64, u8)) -> StoreSearch {
-        for older in (0..age).rev() {
-            let e = &self.entries[older as usize];
-            if e.retired {
-                continue;
-            }
-            match e.addr {
-                None => return StoreSearch::Blocked(older),
-                Some(theirs) if Self::overlaps(my, theirs) && !e.completed => {
-                    return StoreSearch::Blocked(older);
-                }
-                Some(_) => {}
+    /// The youngest older op blocking the store at `age`: an unbound
+    /// address, or an overlapping access not yet performed. An entry the
+    /// scan passes over is bound and either performed or disjoint — for
+    /// good — so, as in [`Lsq::scan_for_load`], the next search resumes
+    /// where this one stopped.
+    fn scan_for_store(&mut self, age: u32, my: (u64, u8)) -> StoreSearch {
+        let window = self.scan_window(age);
+        let mut verdict = (window.start, StoreSearch::CanIssue);
+        for older in window.rev() {
+            let e = self.entries[older as usize];
+            if !e.has(BOUND) || (!e.has(COMPLETED) && Self::overlaps(my, e.access())) {
+                verdict = (older + 1, StoreSearch::Blocked(older));
+                break;
             }
         }
-        StoreSearch::CanIssue
+        self.entries[age as usize].scan_top = verdict.0;
+        verdict.1
     }
 
     /// Marks a store's data operand as produced.
     pub fn mark_data_ready(&mut self, age: u32) {
-        self.entries[age as usize].data_ready = true;
+        self.entries[age as usize].flags |= DATA_READY;
     }
 
     /// Marks an operation's memory access as performed.
     pub fn mark_completed(&mut self, age: u32) {
-        self.entries[age as usize].completed = true;
+        self.entries[age as usize].flags |= COMPLETED;
     }
 
     /// Retires completed entries in program order (bandwidth-limited),
@@ -397,26 +453,22 @@ impl Lsq {
         while (self.next_retire as usize) < self.entries.len()
             && self.retires_this_cycle < self.config.retire_per_cycle
         {
-            let age = self.next_retire as usize;
-            if !self.entries[age].completed {
+            let e = self.entries[self.next_retire as usize];
+            if !e.has(COMPLETED) {
                 break;
             }
-            let (deposited, is_store, addr) = {
-                let e = &self.entries[age];
-                (e.deposited, e.is_store, e.addr)
-            };
-            if deposited {
-                let key = addr.expect("deposited implies bound").0 >> 3;
-                if is_store {
+            if e.has(DEPOSITED) {
+                let key = e.addr >> 3;
+                if e.has(STORE) {
                     self.sq_bloom.remove(key);
                 } else {
                     self.lq_bloom.remove(key);
                 }
             }
-            if let Some(bank) = self.entries[age].bank {
+            if e.has(BOUND) {
+                let bank = self.bank_of(e.addr);
                 self.bank_load[bank] -= 1;
             }
-            self.entries[age].retired = true;
             self.next_retire += 1;
             self.retires_this_cycle += 1;
             retired += 1;
@@ -457,6 +509,7 @@ impl Lsq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bloom::CountingBloom;
 
     fn lsq_for(kinds: &[bool]) -> Lsq {
         let mut l = Lsq::new(LsqConfig::default());
@@ -622,5 +675,297 @@ mod tests {
         let mut l = lsq_for(&[false]);
         alloc_all(&mut l, 1);
         l.begin_invocation(&[false]);
+    }
+
+    /// The full-scan model the bounded scans replaced: one record per
+    /// age with an explicit `retired` flag, and every search walking all
+    /// older ages down to age 0.
+    #[derive(Default)]
+    struct FullScanLsq {
+        entries: Vec<FullEntry>,
+        next_alloc: u32,
+        next_retire: u32,
+        bank_load: Vec<usize>,
+        sq_bloom: Option<CountingBloom>,
+        lq_bloom: Option<CountingBloom>,
+        stats: LsqStats,
+        cycle: u64,
+        allocs_this_cycle: u32,
+        retires_this_cycle: u32,
+    }
+
+    #[derive(Clone, Default)]
+    struct FullEntry {
+        is_store: bool,
+        addr: Option<(u64, u8)>,
+        bank: Option<usize>,
+        data_ready: bool,
+        completed: bool,
+        retired: bool,
+        deposited: bool,
+        searched: bool,
+    }
+
+    impl FullScanLsq {
+        fn new(config: LsqConfig, kinds: &[bool]) -> Self {
+            Self {
+                entries: kinds
+                    .iter()
+                    .map(|&s| FullEntry {
+                        is_store: s,
+                        ..FullEntry::default()
+                    })
+                    .collect(),
+                bank_load: vec![0; config.banks],
+                sq_bloom: Some(CountingBloom::lsq_default()),
+                lq_bloom: Some(CountingBloom::lsq_default()),
+                ..Self::default()
+            }
+        }
+
+        fn sq(&mut self) -> &mut CountingBloom {
+            self.sq_bloom.as_mut().expect("built")
+        }
+
+        fn lq(&mut self) -> &mut CountingBloom {
+            self.lq_bloom.as_mut().expect("built")
+        }
+
+        fn roll(&mut self, cycle: u64) {
+            if cycle != self.cycle {
+                self.cycle = cycle;
+                self.allocs_this_cycle = 0;
+                self.retires_this_cycle = 0;
+            }
+        }
+
+        fn allocate_next(&mut self, config: &LsqConfig, cycle: u64) -> Option<u32> {
+            self.roll(cycle);
+            if self.allocs_this_cycle >= config.alloc_per_cycle
+                || self.next_alloc as usize >= self.entries.len()
+            {
+                return None;
+            }
+            self.next_alloc += 1;
+            self.allocs_this_cycle += 1;
+            self.stats.allocs += 1;
+            Some(self.next_alloc - 1)
+        }
+
+        fn bind(&mut self, config: &LsqConfig, age: u32, addr: u64, size: u8) {
+            let bank = (addr >> 6) as usize % config.banks;
+            if self.bank_load[bank] >= config.entries_per_bank {
+                self.stats.bank_overflows += 1;
+            }
+            self.bank_load[bank] += 1;
+            let e = &mut self.entries[age as usize];
+            e.addr = Some((addr, size));
+            e.bank = Some(bank);
+        }
+
+        fn deposit(&mut self, age: u32) {
+            let e = self.entries[age as usize].clone();
+            if !e.deposited {
+                if let Some((addr, _)) = e.addr {
+                    if e.is_store {
+                        self.sq().insert(addr >> 3);
+                    } else {
+                        self.lq().insert(addr >> 3);
+                    }
+                    self.entries[age as usize].deposited = true;
+                }
+            }
+        }
+
+        fn first_search(&mut self, age: u32) -> bool {
+            let e = &mut self.entries[age as usize];
+            let first = !e.searched;
+            e.searched = true;
+            first
+        }
+
+        fn search_load(&mut self, age: u32) -> LoadSearch {
+            let my = self.entries[age as usize].addr.expect("bound");
+            if self.first_search(age) && self.sq().query(my.0 >> 3) {
+                self.stats.cam_load_searches += 1;
+            }
+            let mut result = LoadSearch::CanIssue;
+            for older in (0..age).rev() {
+                let e = &self.entries[older as usize];
+                if !e.is_store || e.retired {
+                    continue;
+                }
+                match e.addr {
+                    None => {
+                        result = LoadSearch::Blocked(older);
+                        break;
+                    }
+                    Some(theirs) if Lsq::overlaps(my, theirs) => {
+                        result = if theirs == my && e.data_ready {
+                            LoadSearch::Forward(older)
+                        } else if e.completed {
+                            LoadSearch::CanIssue
+                        } else {
+                            LoadSearch::Blocked(older)
+                        };
+                        break;
+                    }
+                    Some(_) => {}
+                }
+            }
+            if !matches!(result, LoadSearch::Blocked(_)) {
+                self.deposit(age);
+                if matches!(result, LoadSearch::Forward(_)) {
+                    self.stats.forwards += 1;
+                }
+            }
+            result
+        }
+
+        fn search_store(&mut self, age: u32) -> StoreSearch {
+            let my = self.entries[age as usize].addr.expect("bound");
+            if self.first_search(age) {
+                let hit = self.sq().query(my.0 >> 3) | self.lq().query(my.0 >> 3);
+                if hit {
+                    self.stats.cam_store_searches += 1;
+                }
+            }
+            let mut result = StoreSearch::CanIssue;
+            for older in (0..age).rev() {
+                let e = &self.entries[older as usize];
+                if e.retired {
+                    continue;
+                }
+                match e.addr {
+                    None => {
+                        result = StoreSearch::Blocked(older);
+                        break;
+                    }
+                    Some(theirs) if Lsq::overlaps(my, theirs) && !e.completed => {
+                        result = StoreSearch::Blocked(older);
+                        break;
+                    }
+                    Some(_) => {}
+                }
+            }
+            if result == StoreSearch::CanIssue {
+                self.deposit(age);
+            }
+            result
+        }
+
+        fn retire_ready(&mut self, config: &LsqConfig, cycle: u64) -> u32 {
+            self.roll(cycle);
+            let mut retired = 0;
+            while (self.next_retire as usize) < self.entries.len()
+                && self.retires_this_cycle < config.retire_per_cycle
+            {
+                let e = self.entries[self.next_retire as usize].clone();
+                if !e.completed {
+                    break;
+                }
+                if e.deposited {
+                    let key = e.addr.expect("bound").0 >> 3;
+                    if e.is_store {
+                        self.sq().remove(key);
+                    } else {
+                        self.lq().remove(key);
+                    }
+                }
+                if let Some(bank) = e.bank {
+                    self.bank_load[bank] -= 1;
+                }
+                self.entries[self.next_retire as usize].retired = true;
+                self.next_retire += 1;
+                self.retires_this_cycle += 1;
+                retired += 1;
+            }
+            retired
+        }
+
+        fn bloom_stats(&self) -> BloomStats {
+            let (s, l) = (
+                self.sq_bloom.as_ref().expect("built").stats(),
+                self.lq_bloom.as_ref().expect("built").stats(),
+            );
+            BloomStats {
+                queries: s.queries + l.queries,
+                hits: s.hits + l.hits,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Differential: on random allocate / bind / data-ready /
+        /// complete / search / retire schedules over a tight address
+        /// window (so overlaps, exact matches and forwards are common),
+        /// the bounded, compact-layout scans return the same verdicts and
+        /// leave the same CAM, bloom, forward and bank counters as the
+        /// full scan from age 0.
+        #[test]
+        fn bounded_scans_match_the_full_scan(
+            kinds in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..24),
+            ops in proptest::collection::vec((0u8..7, 0u16..64, 0u16..64), 1..160),
+            banks in 1usize..4,
+        ) {
+            let config = LsqConfig {
+                banks,
+                entries_per_bank: 3,
+                ..LsqConfig::default()
+            };
+            let mut lsq = Lsq::new(config);
+            lsq.begin_invocation(&kinds);
+            let mut full = FullScanLsq::new(config, &kinds);
+            let n = kinds.len() as u32;
+            let mut bound = vec![false; kinds.len()];
+            let mut cycle = 0u64;
+            for &(op, a, b) in &ops {
+                let age = u32::from(a) % n;
+                let i = age as usize;
+                match op {
+                    0 => {
+                        proptest::prop_assert_eq!(
+                            lsq.allocate_next(cycle),
+                            full.allocate_next(&config, cycle)
+                        );
+                    }
+                    1 if lsq.is_allocated(age) && !bound[i] => {
+                        let addr = u64::from(b % 24) * 4;
+                        let size = [1u8, 2, 4, 8][usize::from(b / 24) % 4];
+                        lsq.bind_address(age, addr, size);
+                        full.bind(&config, age, addr, size);
+                        bound[i] = true;
+                    }
+                    2 if kinds[i] => {
+                        lsq.mark_data_ready(age);
+                        full.entries[i].data_ready = true;
+                    }
+                    3 if lsq.is_allocated(age) => {
+                        lsq.mark_completed(age);
+                        full.entries[i].completed = true;
+                    }
+                    4 | 5 if bound[i] => {
+                        if kinds[i] {
+                            proptest::prop_assert_eq!(lsq.search_store(age), full.search_store(age));
+                        } else {
+                            proptest::prop_assert_eq!(lsq.search_load(age), full.search_load(age));
+                        }
+                    }
+                    6 => {
+                        cycle += u64::from(b % 3);
+                        proptest::prop_assert_eq!(
+                            lsq.retire_ready(cycle),
+                            full.retire_ready(&config, cycle)
+                        );
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(lsq.stats(), full.stats);
+                proptest::prop_assert_eq!(lsq.bloom_stats(), full.bloom_stats());
+                proptest::prop_assert_eq!(lsq.is_drained(), full.next_retire == n);
+            }
+        }
     }
 }

@@ -86,10 +86,12 @@ impl CacheStats {
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
     /// Monotonic counter value at last touch; smallest = LRU victim.
     last_touch: u64,
+    /// The line is valid iff this equals the cache's current epoch, so
+    /// invalidating every line is one increment.
+    epoch: u32,
+    dirty: bool,
 }
 
 /// A set-associative, write-back, write-allocate cache model.
@@ -100,7 +102,13 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every set's ways, set-major in one allocation: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`, so an access is one index and
+    /// a reset is one fill.
+    lines: Vec<Line>,
+    num_sets: u64,
+    /// Current validity epoch (never 0, so default lines are invalid).
+    epoch: u32,
     stats: CacheStats,
     tick: u64,
 }
@@ -114,10 +122,12 @@ impl Cache {
     /// [`CacheConfig::num_sets`]).
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let sets = vec![vec![Line::default(); config.ways as usize]; config.num_sets() as usize];
+        let num_sets = config.num_sets();
         Self {
             config,
-            sets,
+            lines: vec![Line::default(); (num_sets * u64::from(config.ways)) as usize],
+            num_sets,
+            epoch: 1,
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -131,8 +141,7 @@ impl Cache {
 
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line = addr / u64::from(self.config.line_bytes);
-        let num_sets = self.sets.len() as u64;
-        ((line % num_sets) as usize, line / num_sets)
+        ((line % self.num_sets) as usize, line / self.num_sets)
     }
 
     /// Accesses `addr`; returns `true` on hit. On a miss the line is
@@ -141,8 +150,10 @@ impl Cache {
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
         self.tick += 1;
         let (set_idx, tag) = self.set_and_tag(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+        let ways = self.config.ways as usize;
+        let epoch = self.epoch;
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
+        if let Some(line) = set.iter_mut().find(|l| l.epoch == epoch && l.tag == tag) {
             line.last_touch = self.tick;
             line.dirty |= is_write;
             self.stats.hits += 1;
@@ -151,16 +162,16 @@ impl Cache {
         self.stats.misses += 1;
         let victim = set
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.last_touch } else { 0 })
+            .min_by_key(|l| if l.epoch == epoch { l.last_touch } else { 0 })
             .expect("ways >= 1");
-        if victim.valid && victim.dirty {
+        if victim.epoch == epoch && victim.dirty {
             self.stats.writebacks += 1;
         }
         *victim = Line {
             tag,
-            valid: true,
-            dirty: is_write,
             last_touch: self.tick,
+            epoch,
+            dirty: is_write,
         };
         false
     }
@@ -169,7 +180,10 @@ impl Cache {
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let ways = self.config.ways as usize;
+        self.lines[set_idx * ways..(set_idx + 1) * ways]
+            .iter()
+            .any(|l| l.epoch == self.epoch && l.tag == tag)
     }
 
     /// Accumulated statistics.
@@ -180,10 +194,11 @@ impl Cache {
 
     /// Invalidates all lines and clears statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = Line::default();
-            }
+        if self.epoch == u32::MAX {
+            self.lines.fill(Line::default());
+            self.epoch = 1;
+        } else {
+            self.epoch += 1;
         }
         self.stats = CacheStats::default();
         self.tick = 0;
@@ -268,6 +283,29 @@ mod tests {
         c.reset();
         assert!(!c.probe(0x00));
         assert_eq!(c.stats().accesses(), 0);
+    }
+
+    #[test]
+    fn a_reset_cache_behaves_like_a_fresh_one() {
+        // Junk from an earlier run (dirty lines included) must not leak
+        // through the epoch-based invalidation, including across the
+        // epoch counter's wrap.
+        let trace: Vec<(u64, bool)> = (0..200u64)
+            .map(|i| ((i * 37) % 23 * 16, i % 3 == 0))
+            .collect();
+        for start_epoch in [1, u32::MAX - 1, u32::MAX] {
+            let mut reused = tiny();
+            for &(a, w) in trace.iter().rev() {
+                reused.access(a + 8, w);
+            }
+            reused.epoch = start_epoch;
+            reused.reset();
+            let mut fresh = tiny();
+            for &(a, w) in &trace {
+                assert_eq!(reused.access(a, w), fresh.access(a, w));
+            }
+            assert_eq!(reused.stats(), fresh.stats());
+        }
     }
 
     #[test]

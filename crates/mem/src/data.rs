@@ -2,6 +2,7 @@
 //! disambiguation backend preserves sequential semantics.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Page granularity: 4 KiB, the sweet spot between page-table sparsity
 /// and per-access locality for the suite's working sets.
@@ -33,6 +34,34 @@ impl Page {
     }
 }
 
+/// Hasher for page numbers: one multiply by the 64-bit golden ratio.
+///
+/// Page numbers are small, clustered integers, and the map never sees
+/// keys an adversary chose, so SipHash's flooding resistance buys
+/// nothing here. A multiplicative hash spreads consecutive page numbers
+/// across the whole word (the high bits pick the control byte, the low
+/// bits the bucket) at a fraction of SipHash's cost.
+#[derive(Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // Fold the well-mixed high half into the low bits that select
+        // the bucket.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// Sparse byte-addressable memory. Unwritten bytes read as zero.
 ///
 /// This is the *functional* half of the simulator: the timing models decide
@@ -40,7 +69,8 @@ impl Page {
 /// so tests can compare the final state (and every load's value) against an
 /// in-order reference execution.
 ///
-/// Storage is paged: a `HashMap` of 4 KiB pages, so the per-access cost is
+/// Storage is paged: a `HashMap` of 4 KiB pages (keyed through the
+/// multiplicative [`PageHasher`]), so the per-access cost is
 /// one page lookup plus a dense slice read/write instead of the per-*byte*
 /// hash probes of the old `HashMap<u64, u8>` layout — memory ops are the
 /// engine's innermost loop. A per-page written-byte bitmask preserves the
@@ -48,7 +78,7 @@ impl Page {
 /// equality distinguishes a written zero from an unwritten byte.
 #[derive(Clone, Debug, Default)]
 pub struct DataMemory {
-    pages: HashMap<u64, Page>,
+    pages: HashMap<u64, Page, BuildHasherDefault<PageHasher>>,
     footprint: usize,
 }
 
