@@ -11,23 +11,22 @@
 //! deterministically derived seeds before giving up (a run panicking
 //! through its whole budget is reported as `quarantined`).
 //!
-//! Process isolation: `--shards N` partitions the matrix by run key and
-//! executes each shard in a separate worker OS process (this binary
-//! re-invoked with `--shard-exec`), so an abort, OOM kill or segfault in
-//! one cell costs one worker, not the campaign. The supervisor watches
-//! per-shard journals for heartbeat growth, respawns dead or silent
-//! workers under deterministic backoff, merges every shard into the
-//! `--journal` file and emits a report byte-identical to a
-//! single-process run. `--cache PATH` adds a persistent cross-campaign
-//! result cache keyed by the same content hashes (`default` picks
-//! `$XDG_CACHE_HOME/nachos/sweep`).
+//! `--cache PATH` adds a persistent cross-campaign result cache: one
+//! more journal file, keyed by the same content hashes, consulted after
+//! the campaign journal. It serves only settled cells and collects the
+//! settled cells each campaign executes (`default` picks
+//! `$XDG_CACHE_HOME/nachos/sweep.jsonl`).
+//!
+//! Every cell runs in this process: panics, hangs and deadlines are
+//! contained per cell, while an abort, OOM kill or stack overflow ends
+//! the campaign — and `--resume` picks it up from the journal.
 //!
 //! `--deadline-secs N` puts the whole invocation under a wall-clock
 //! budget: when it expires, the sweep is cancelled cooperatively through
-//! the shared [`CancelToken`] (workers included), cancelled cells are
-//! *not* journaled (a later `--resume` re-executes them), and the
-//! process exits with the dedicated code 4 — so CI soak jobs can bound a
-//! sweep without ever hanging or corrupting its journal.
+//! the shared [`CancelToken`], cancelled cells are *not* journaled (a
+//! later `--resume` re-executes them), and the process exits with the
+//! dedicated code 4 — so CI soak jobs can bound a sweep without ever
+//! hanging or corrupting its journal.
 //!
 //! `--connect PATH` turns this binary into a thin client of a running
 //! `nachos-sweepd`: the matrix-defining flags become a `nachos-jobs-v1`
@@ -43,10 +42,10 @@
 //!
 //! `--poison NAME` injects a deterministic panic-on-event fault into the
 //! named workload — every one of its runs panics on every attempt, so
-//! with a retry budget it exercises the whole worker-supervision path
-//! (retry, respawn, quarantine) while the other workloads complete
-//! untouched. The CI soak-resume job kills exactly such a sweep
-//! mid-flight and diffs the resumed report against a clean one.
+//! with a retry budget it exercises the whole supervision path (retry,
+//! quarantine) while the other workloads complete untouched. The CI
+//! soak-resume job kills exactly such a sweep mid-flight and diffs the
+//! resumed report against a clean one.
 //!
 //! With `--inject smoke`, runs the fault-injection smoke suite instead:
 //! one crafted scenario per fault class, each with a hard per-backend
@@ -68,27 +67,23 @@
 //! never leaves a truncated report behind. Run `sweep --help` for the
 //! exit-code contract.
 
-use nachos::json::write_atomic;
-use nachos::sweep::cache::ResultCache;
+use nachos::json::{parse_json, write_atomic, Json};
 use nachos::sweep::daemon::{JobStatus, MatrixSpec};
-use nachos::sweep::journal::{parse_json, Json};
-use nachos::sweep::shard::{run_shard_worker, run_sweep_sharded, ShardConfig};
 use nachos::sweep::{journal::Journal, run_sweep_journaled, SweepResult};
 use nachos::CancelToken;
 use nachos_bench::exitcode::{self, Verdict};
 use nachos_bench::matrix;
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: sweep [--threads N] [--invocations N] [--out FILE] [--ideal] \
                      [--optimize] [--journal FILE] [--resume] [--max-retries N] \
                      [--filter SUBSTR] [--variants LIST] [--poison NAME] [--inject smoke] \
-                     [--shards N] [--cache PATH|default] [--heartbeat-interval MS] \
-                     [--deadline-secs N] [--connect PATH] [--stats FILE] [--strict] \
-                     [--shard-exec] [--help]";
+                     [--cache PATH|default] [--deadline-secs N] [--connect PATH] \
+                     [--stats FILE] [--strict] [--help]";
 
 const HELP: &str = "\
 The NACHOS differential sweep harness.
@@ -108,28 +103,23 @@ Flags:
   --variants LIST         comma-separated variant labels to run
   --poison NAME           inject a deterministic panic into workload NAME
   --inject smoke          run the fault-injection smoke suite instead
-  --shards N              run the matrix across N worker OS processes
-                          (requires --journal; report stays byte-identical
-                          to a single-process run)
-  --cache PATH            promote settled runs into a persistent
-                          content-addressed cache at PATH and serve future
-                          campaigns from it; the literal 'default' means
-                          $XDG_CACHE_HOME/nachos/sweep (requires --shards)
-  --heartbeat-interval MS worker liveness pulse period (0 disables; a
-                          worker silent for ~10 intervals is respawned)
+  --cache PATH            a result cache shared across campaigns: a journal
+                          file at PATH that serves settled runs the
+                          campaign journal lacks and collects the settled
+                          runs this campaign executes; the literal
+                          'default' means $XDG_CACHE_HOME/nachos/sweep.jsonl
   --deadline-secs N       wall-clock budget for the whole sweep: on
                           expiry the remaining cells are cancelled
-                          cooperatively (shard workers included), the
-                          journal stays clean and resumable (cancelled
-                          cells are never journaled), and the process
-                          exits 4
+                          cooperatively, the journal stays clean and
+                          resumable (cancelled cells are never journaled),
+                          and the process exits 4
   --connect PATH          run as a client of the nachos-sweepd listening
                           on the Unix socket PATH: submit this matrix,
                           watch the job to a terminal state (reconnecting
                           across daemon restarts), fetch the report to
                           --out; incompatible with the local
                           orchestration flags (--journal/--resume/
-                          --shards/--cache/--inject/--stats)
+                          --cache/--inject/--stats)
   --stats FILE            after the sweep, re-run the matrix serially with
                           cycle-level telemetry attached and stream the
                           nachos-stats-v1 JSONL (one run block per cell,
@@ -138,8 +128,6 @@ Flags:
                           cache fingerprints are unchanged
   --strict                degraded cells (quarantined, cancelled, panic,
                           deadlock, error, fault_detected) fail the run
-  --shard-exec            internal: run as a shard worker, reading the
-                          dispatch header and cell list from stdin
   --help                  this text
 
 Exit codes — each reachable by exactly one condition:
@@ -153,16 +141,15 @@ Exit codes — each reachable by exactly one condition:
      degraded cell
   4  deadline exceeded: the --deadline-secs (or daemon-side) wall-clock
      budget cancelled the sweep before it settled
-  5  environment failure: journal/report/cache I/O, a worker protocol
-     error, or an unreachable daemon socket
+  5  environment failure: journal/report/cache I/O, or an unreachable
+     daemon socket
 
-Cache layout and invalidation: entries live at <root>/<hh>/<key>.rec,
-one checksum-framed record per file, where <key> is the 16-hex FNV-1a
-content hash of (region, binding, variant, fault plan, simulator
-config) and <hh> its first byte. Any input change changes the key, so
-stale entries are never served — they are merely unreachable. Only
-settled statuses (ok, mismatch, fault_detected) are cached; corrupt
-entries are detected by checksum, removed, and re-executed.
+Cache format and invalidation: the cache is a run journal like
+--journal FILE, keyed by the FNV-1a content hash of (region, binding,
+variant, fault plan, simulator config), so stale entries are never
+served, merely unreachable. Only settled statuses (ok, mismatch,
+fault_detected) are served or stored; a corrupt line is skipped and
+counted on load, and its cell re-executes once.
 ";
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -178,8 +165,53 @@ fn environment_error(msg: &str) -> ExitCode {
 
 /// Maps a finished sweep to the documented exit contract.
 fn verdict(sweep: &SweepResult, strict: bool, deadline_hit: bool) -> ExitCode {
-    let (mismatches, degraded) = exitcode::counts(sweep);
+    let (mismatches, degraded) = sweep.verdict_counts();
     exitcode::classify(mismatches, degraded, strict, deadline_hit).exit()
+}
+
+/// The conventional cache file: `$XDG_CACHE_HOME/nachos/sweep.jsonl`,
+/// falling back to `~/.cache/nachos/sweep.jsonl`, falling back to
+/// `nachos-sweep-cache.jsonl` under the system temp dir when no home is
+/// known (sandboxed CI).
+fn default_cache_path() -> PathBuf {
+    let var = |name| std::env::var_os(name).filter(|v| !v.is_empty());
+    if let Some(xdg) = var("XDG_CACHE_HOME") {
+        return PathBuf::from(xdg).join("nachos").join("sweep.jsonl");
+    }
+    if let Some(home) = var("HOME") {
+        return PathBuf::from(home)
+            .join(".cache")
+            .join("nachos")
+            .join("sweep.jsonl");
+    }
+    std::env::temp_dir().join("nachos-sweep-cache.jsonl")
+}
+
+/// Opens the `--journal` or `--cache` store (`None` when the flag is
+/// absent): `resume` keeps its records, otherwise it starts empty. A
+/// non-empty load is reported; an I/O failure maps to the environment
+/// exit code.
+fn open_store(what: &str, path: Option<&Path>, resume: bool) -> Result<Option<Journal>, ExitCode> {
+    let Some(path) = path else {
+        return Ok(None);
+    };
+    let opened = if resume {
+        Journal::resume(path)
+    } else {
+        Journal::create(path)
+    };
+    let j = opened
+        .map_err(|e| environment_error(&format!("cannot open {what} {}: {e}", path.display())))?;
+    if j.replay_len() > 0 || j.skipped() > 0 {
+        eprintln!(
+            "{what} {}: {} completed runs loaded, {} unreadable lines skipped ({} corrupt)",
+            path.display(),
+            j.replay_len(),
+            j.skipped(),
+            j.corrupt(),
+        );
+    }
+    Ok(Some(j))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -190,16 +222,13 @@ fn main() -> ExitCode {
     let mut inject: Option<String> = None;
     let mut ideal = false;
     let mut optimize = false;
-    let mut journal_path: Option<String> = None;
+    let mut journal_path: Option<PathBuf> = None;
     let mut resume = false;
     let mut max_retries = 0u32;
     let mut filter: Option<String> = None;
     let mut variant_list: Option<String> = None;
     let mut poison: Option<String> = None;
-    let mut shards = 0usize;
-    let mut shard_exec = false;
     let mut cache_arg: Option<String> = None;
-    let mut heartbeat_ms = 200u64;
     let mut deadline_secs = 0u64;
     let mut connect: Option<String> = None;
     let mut stats_path: Option<String> = None;
@@ -223,10 +252,6 @@ fn main() -> ExitCode {
                 resume = true;
                 continue;
             }
-            "--shard-exec" => {
-                shard_exec = true;
-                continue;
-            }
             "--strict" => {
                 strict = true;
                 continue;
@@ -234,21 +259,9 @@ fn main() -> ExitCode {
             _ => {}
         }
         let Some(value) = (match a.as_str() {
-            "--threads"
-            | "--invocations"
-            | "--out"
-            | "--inject"
-            | "--journal"
-            | "--max-retries"
-            | "--filter"
-            | "--variants"
-            | "--poison"
-            | "--shards"
-            | "--cache"
-            | "--heartbeat-interval"
-            | "--deadline-secs"
-            | "--connect"
-            | "--stats" => args.next(),
+            "--threads" | "--invocations" | "--out" | "--inject" | "--journal"
+            | "--max-retries" | "--filter" | "--variants" | "--poison" | "--cache"
+            | "--deadline-secs" | "--connect" | "--stats" => args.next(),
             other => return usage_error(&format!("unknown argument: {other}")),
         }) else {
             return usage_error(&format!("{a} requires a value"));
@@ -270,18 +283,6 @@ fn main() -> ExitCode {
                     return usage_error(&format!("--max-retries takes a count, got {value:?}"))
                 }
             },
-            "--shards" => match value.parse() {
-                Ok(n) => shards = n,
-                Err(_) => return usage_error(&format!("--shards takes a count, got {value:?}")),
-            },
-            "--heartbeat-interval" => match value.parse() {
-                Ok(ms) => heartbeat_ms = ms,
-                Err(_) => {
-                    return usage_error(&format!(
-                        "--heartbeat-interval takes milliseconds, got {value:?}"
-                    ))
-                }
-            },
             "--deadline-secs" => match value.parse() {
                 Ok(s) => deadline_secs = s,
                 Err(_) => {
@@ -289,7 +290,7 @@ fn main() -> ExitCode {
                 }
             },
             "--inject" => inject = Some(value),
-            "--journal" => journal_path = Some(value),
+            "--journal" => journal_path = Some(value.into()),
             "--filter" => filter = Some(value),
             "--variants" => variant_list = Some(value),
             "--poison" => poison = Some(value),
@@ -302,36 +303,29 @@ fn main() -> ExitCode {
     if resume && journal_path.is_none() {
         return usage_error("--resume requires --journal FILE");
     }
-    if shards > 0 && journal_path.is_none() {
-        return usage_error("--shards requires --journal FILE (the merge target)");
+    let cache_path = cache_arg.map(|arg| {
+        if arg == "default" {
+            default_cache_path()
+        } else {
+            PathBuf::from(arg)
+        }
+    });
+    if cache_path.is_some() && cache_path == journal_path {
+        return usage_error("--cache and --journal must name different files");
     }
-    if cache_arg.is_some() && shards == 0 && !shard_exec {
-        return usage_error("--cache requires --shards N");
-    }
-    if shard_exec && (shards > 0 || journal_path.is_some() || out.is_some() || inject.is_some()) {
-        return usage_error(
-            "--shard-exec is the worker side: it takes its journal from the dispatch \
-             header, not from --shards/--journal/--out/--inject",
-        );
-    }
-    if inject.is_some() && shards > 0 {
-        return usage_error("--inject smoke runs in-process; it takes no --shards");
-    }
-    if stats_path.is_some() && (inject.is_some() || shard_exec) {
+    if stats_path.is_some() && inject.is_some() {
         return usage_error("--stats applies to the standard sweep");
     }
     if connect.is_some()
         && (journal_path.is_some()
             || resume
-            || shards > 0
-            || cache_arg.is_some()
+            || cache_path.is_some()
             || inject.is_some()
-            || stats_path.is_some()
-            || shard_exec)
+            || stats_path.is_some())
     {
         return usage_error(
-            "--connect is the client side: orchestration (--journal/--resume/--shards/\
-             --cache/--inject/--stats/--shard-exec) lives in the daemon",
+            "--connect is the client side: orchestration (--journal/--resume/\
+             --cache/--inject/--stats) lives in the daemon",
         );
     }
 
@@ -345,9 +339,9 @@ fn main() -> ExitCode {
         ideal,
         optimize,
         max_retries,
-        filter: filter.clone(),
+        filter,
         variants: matrix::parse_variants(variant_list.as_deref()),
-        poison: poison.clone(),
+        poison,
         deadline_secs,
         watchdog: None,
     };
@@ -357,9 +351,8 @@ fn main() -> ExitCode {
     }
 
     // The wall-clock deadline: one shared token, cancelled by a
-    // detached timer thread. `run_sweep_sharded` forwards the token to
-    // every worker, so the budget binds in both execution modes.
-    let deadline_token = (deadline_secs > 0 && inject.is_none() && !shard_exec).then(|| {
+    // detached timer thread.
+    let deadline_token = (deadline_secs > 0 && inject.is_none()).then(|| {
         let token = CancelToken::new();
         let timer = token.clone();
         std::thread::spawn(move || {
@@ -411,197 +404,54 @@ fn main() -> ExitCode {
             if let Some(token) = &deadline_token {
                 cfg.sim.cancel = Some(token.clone());
             }
-
-            // Worker mode: execute the shard streamed over stdin and
-            // exit — no report of its own.
-            if shard_exec {
-                return match run_shard_worker(&jobs, &cfg, std::io::stdin()) {
-                    Ok(s) => {
-                        eprintln!(
-                            "shard {}: {} executed, {} replayed, {} protocol errors{}",
-                            s.shard,
-                            s.executed,
-                            s.replayed,
-                            s.protocol_errors,
-                            if s.cancelled { ", cancelled" } else { "" },
-                        );
-                        if s.protocol_errors > 0 {
-                            Verdict::Environment.exit()
-                        } else {
-                            Verdict::Success.exit()
-                        }
-                    }
-                    Err(e) => environment_error(&format!("shard worker failed: {e}")),
-                };
+            let journal = match open_store("journal", journal_path.as_deref(), resume) {
+                Ok(j) => j,
+                Err(code) => return code,
+            };
+            // The cache outlives campaigns: its directory is created on
+            // first use, and it is always resumed, never truncated.
+            if let Some(dir) = cache_path.as_deref().and_then(Path::parent) {
+                let _ = std::fs::create_dir_all(dir);
             }
-
-            if shards > 0 {
-                // Supervisor mode: the journal is the merge target; the
-                // workers are this binary re-invoked with --shard-exec
-                // and the matrix-defining flags forwarded verbatim.
-                let journal = journal_path.clone().unwrap_or_default();
-                let exe = match std::env::current_exe() {
-                    Ok(p) => p.display().to_string(),
-                    Err(e) => {
-                        return environment_error(&format!(
-                            "cannot locate own executable for workers: {e}"
-                        ))
-                    }
-                };
-                let mut worker_cmd = vec![
-                    exe,
-                    "--shard-exec".into(),
-                    "--invocations".into(),
-                    invocations.to_string(),
-                    "--max-retries".into(),
-                    max_retries.to_string(),
-                ];
-                if ideal {
-                    worker_cmd.push("--ideal".into());
-                }
-                // The optimizer changes the compiled MDE graph, so it is
-                // part of the matrix definition: workers must agree with
-                // the supervisor or every fingerprint misses.
-                if optimize {
-                    worker_cmd.push("--optimize".into());
-                }
-                for (flag, v) in [
-                    ("--filter", &filter),
-                    ("--variants", &variant_list),
-                    ("--poison", &poison),
-                ] {
-                    if let Some(v) = v {
-                        worker_cmd.push(flag.into());
-                        worker_cmd.push(v.clone());
-                    }
-                }
-                let mut scfg = ShardConfig::new(shards, worker_cmd, &journal);
-                scfg.resume = resume;
-                scfg.heartbeat = Duration::from_millis(heartbeat_ms);
-                scfg.silence_budget = if heartbeat_ms == 0 {
-                    Duration::ZERO
-                } else {
-                    Duration::from_millis((heartbeat_ms * 10).max(2000))
-                };
-                if let Some(arg) = &cache_arg {
-                    let root = if arg == "default" {
-                        ResultCache::default_root()
-                    } else {
-                        arg.clone().into()
-                    };
-                    match ResultCache::open(root) {
-                        Ok(c) => scfg.cache = Some(c),
-                        Err(e) => {
-                            return environment_error(&format!("cannot open result cache: {e}"))
-                        }
-                    }
-                }
-                let (sweep, stats, sstats) = match run_sweep_sharded(&jobs, &cfg, &scfg) {
-                    Ok(r) => r,
-                    Err(e) => return environment_error(&format!("sharded sweep failed: {e}")),
-                };
-                if !sweep.all_match() {
-                    eprintln!("DIVERGENCE: {:?}", sweep.mismatches());
-                }
+            let cache = match open_store("cache", cache_path.as_deref(), true) {
+                Ok(c) => c,
+                Err(code) => return code,
+            };
+            let (sweep, stats) = run_sweep_journaled(&jobs, &cfg, journal.as_ref(), cache.as_ref());
+            if !sweep.all_match() {
+                eprintln!("DIVERGENCE: {:?}", sweep.mismatches());
+            }
+            if journal.is_some() || cache.is_some() {
                 eprintln!(
-                    "orchestration: {} shards, {} workers spawned ({} respawns, {} silent kills), \
-                     {} cells dispatched, {} recovered from shard journals, {} corrupt lines \
-                     dropped, {} quarantined by the supervisor, {} abandoned to the inline pass",
-                    sstats.shards,
-                    sstats.workers_spawned,
-                    sstats.respawns,
-                    sstats.silent_kills,
-                    sstats.dispatched,
-                    sstats.recovered,
-                    sstats.corrupt_lines,
-                    sstats.quarantined,
-                    sstats.abandoned,
-                );
-                if scfg.cache.is_some() {
-                    eprintln!(
-                        "cache: {} hits, {} misses, {} corrupt entries healed, {} stored",
-                        sstats.cache.hits,
-                        sstats.cache.misses,
-                        sstats.cache.corrupt,
-                        sstats.cache.stored,
-                    );
-                }
-                eprintln!(
-                    "merge: {} runs replayed, {} executed inline, {} journal errors",
+                    "orchestration: {} runs replayed from the journal, {} executed, {} journal errors",
                     stats.replayed, stats.executed, stats.journal_errors,
                 );
-                let summary = format!(
-                    "{} jobs x {} variants",
-                    sweep.jobs.len(),
-                    sweep.variants.len()
-                );
-                let deadline_hit = deadline_token
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled);
-                if deadline_hit {
-                    eprintln!("DEADLINE: wall-clock budget of {deadline_secs}s exhausted");
-                }
-                (
-                    sweep.to_json(),
-                    summary,
-                    verdict(&sweep, strict, deadline_hit),
-                )
-            } else {
-                let journal = match &journal_path {
-                    Some(p) => {
-                        let opened = if resume {
-                            Journal::resume(p)
-                        } else {
-                            Journal::create(p)
-                        };
-                        match opened {
-                            Ok(j) => Some(j),
-                            Err(e) => {
-                                return environment_error(&format!("cannot open journal {p}: {e}"))
-                            }
-                        }
-                    }
-                    None => None,
-                };
-                if let Some(j) = &journal {
-                    if j.replay_len() > 0 || j.skipped() > 0 {
-                        eprintln!(
-                            "journal {}: {} completed runs loaded, {} unreadable lines skipped \
-                             ({} corrupt)",
-                            j.path().display(),
-                            j.replay_len(),
-                            j.skipped(),
-                            j.corrupt(),
-                        );
-                    }
-                }
-                let (sweep, stats) = run_sweep_journaled(&jobs, &cfg, journal.as_ref());
-                if !sweep.all_match() {
-                    eprintln!("DIVERGENCE: {:?}", sweep.mismatches());
-                }
-                if journal.is_some() {
-                    eprintln!(
-                        "orchestration: {} runs replayed from the journal, {} executed, {} journal errors",
-                        stats.replayed, stats.executed, stats.journal_errors,
-                    );
-                }
-                let summary = format!(
-                    "{} jobs x {} variants",
-                    sweep.jobs.len(),
-                    sweep.variants.len()
-                );
-                let deadline_hit = deadline_token
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled);
-                if deadline_hit {
-                    eprintln!("DEADLINE: wall-clock budget of {deadline_secs}s exhausted");
-                }
-                (
-                    sweep.to_json(),
-                    summary,
-                    verdict(&sweep, strict, deadline_hit),
-                )
             }
+            if let Some(c) = &cache {
+                eprintln!(
+                    "cache: {} hits, {} misses, {} corrupt lines skipped, {} stored",
+                    stats.cache_hits,
+                    stats.cache_misses,
+                    c.corrupt(),
+                    stats.cache_stored,
+                );
+            }
+            let summary = format!(
+                "{} jobs x {} variants",
+                sweep.jobs.len(),
+                sweep.variants.len()
+            );
+            let deadline_hit = deadline_token
+                .as_ref()
+                .is_some_and(CancelToken::is_cancelled);
+            if deadline_hit {
+                eprintln!("DEADLINE: wall-clock budget of {deadline_secs}s exhausted");
+            }
+            (
+                sweep.to_json(),
+                summary,
+                verdict(&sweep, strict, deadline_hit),
+            )
         }
     };
 

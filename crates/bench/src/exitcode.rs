@@ -1,14 +1,13 @@
 //! The `sweep` exit-code contract, as data.
 //!
-//! Earlier revisions documented codes 0–3 but folded usage errors, I/O
-//! failures and worker protocol errors into one branch — so two
-//! documented conditions shared an exit code and scripts could not tell
-//! "you typed the flag wrong" from "the disk is full". This module is
+//! Earlier revisions documented codes 0–3 but folded usage errors and
+//! I/O failures into one branch — so two documented conditions shared
+//! an exit code and scripts could not tell "you typed the flag wrong"
+//! from "the disk is full". This module is
 //! the single source of truth: each code is reachable by exactly one
 //! condition, asserted by the unit tests below and by the
 //! `crates/bench/tests/daemon.rs` end-to-end mapping test.
 
-use nachos::sweep::{RunStatus, SweepResult};
 use std::process::ExitCode;
 
 /// Every way a `sweep` (or `nachos-sweepd`) invocation can end, in
@@ -21,7 +20,7 @@ use std::process::ExitCode;
 /// | 2    | `Divergence`       | a run mismatched the reference executor (or an `--inject smoke` expectation) |
 /// | 3    | `StrictDegraded`   | `--strict` only: no mismatch, ≥1 degraded cell |
 /// | 4    | `DeadlineExceeded` | the wall-clock budget cancelled the sweep     |
-/// | 5    | `Environment`      | the environment failed: I/O, sockets, worker protocol |
+/// | 5    | `Environment`      | the environment failed: I/O, sockets          |
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// Every run completed; without `--strict`, degraded-but-
@@ -37,8 +36,8 @@ pub enum Verdict {
     /// A `--deadline-secs` (or daemon-side) wall-clock budget expired
     /// and cancelled the remaining cells.
     DeadlineExceeded,
-    /// The environment failed the run: journal/report/cache I/O, a
-    /// dead daemon socket, a worker protocol error.
+    /// The environment failed the run: journal/report/cache I/O or a
+    /// dead daemon socket.
     Environment,
 }
 
@@ -63,25 +62,11 @@ impl Verdict {
     }
 }
 
-/// Counts a finished sweep's mismatched and degraded (non-ok,
-/// non-mismatch) cells — the two inputs to [`classify`].
-#[must_use]
-pub fn counts(sweep: &SweepResult) -> (u64, u64) {
-    let statuses = sweep.statuses();
-    let mismatches = statuses
-        .iter()
-        .filter(|(_, _, s)| *s == RunStatus::Mismatch)
-        .count() as u64;
-    let degraded = statuses
-        .iter()
-        .filter(|(_, _, s)| !matches!(*s, RunStatus::Ok | RunStatus::Mismatch))
-        .count() as u64;
-    (mismatches, degraded)
-}
-
-/// Maps a finished sweep to its verdict. Precedence: divergence beats
-/// everything (a mismatch is a correctness finding even in a truncated
-/// sweep), then the deadline, then strictness.
+/// Maps a finished sweep's counts
+/// ([`nachos::sweep::SweepResult::verdict_counts`]) to its verdict.
+/// Precedence: divergence beats everything (a mismatch is a correctness
+/// finding even in a truncated sweep), then the deadline, then
+/// strictness.
 #[must_use]
 pub fn classify(mismatches: u64, degraded: u64, strict: bool, deadline_exceeded: bool) -> Verdict {
     if mismatches > 0 {

@@ -2,7 +2,7 @@
 //! `nachos-sweepd` process on a real Unix socket, a real `sweep
 //! --connect` client, real SIGKILLs.
 //!
-//! The headline contract mirrors `shard_exec.rs`'s: through daemon
+//! The headline contract mirrors `sweep_cli.rs`'s: through daemon
 //! death and restart, the fetched report stays byte-identical to an
 //! uninterrupted one-shot run of the same matrix. The rest pins the
 //! robustness surface — bounded admission with structured backpressure,
@@ -303,8 +303,8 @@ fn one_shot_deadline_exits_4_and_leaves_a_resumable_journal() {
 }
 
 /// The exit-code table: each documented code, reached by exactly its
-/// one documented condition (0 and 2–3 are pinned by `shard_exec.rs`
-/// and the smoke suite; 4 above).
+/// one documented condition (0 and 3 are pinned by `sweep_cli.rs`, 2 by
+/// `exitcode.rs`'s classification tests, 4 above).
 #[test]
 fn usage_and_environment_failures_use_distinct_codes() {
     // 1: the invocation itself is wrong.

@@ -1,12 +1,19 @@
-//! Minimal deterministic JSON emission shared by the report writers.
+//! The crate's one JSON module: deterministic emission, checksummed
+//! line framing, and the bounded reader every external input goes
+//! through.
 //!
 //! The harness deliberately avoids a serialization dependency: its
 //! reports ([`crate::sweep::SweepResult::to_json`], the `nachos-lint`
 //! CLI) promise byte-identical output for identical inputs, which is
 //! easiest to audit when the writer is ~100 lines of code with a fixed
-//! key order and deterministic number formatting.
+//! key order and deterministic number formatting. The reader
+//! ([`parse_json`]) is a small recursive-descent parser with a nesting
+//! cap; [`read_bounded_line`] caps line length. Together they parse run
+//! journals, the result cache, the daemon's job journal and its wire
+//! requests, so no external bytes can overflow the stack or exhaust
+//! memory.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -215,24 +222,45 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Checksummed line framing (journal / heartbeat / cache records)
+// Checksummed line framing (run journals, the job journal)
 // ---------------------------------------------------------------------
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice: small, dependency-free, deterministic
+/// A running 64-bit FNV-1a hash: small, dependency-free, deterministic
 /// across platforms and processes (unlike `DefaultHasher`, which is
 /// randomly seeded per process). Used both for content-addressing
-/// (journal run keys, the result cache) and for per-record checksums.
+/// (journal run keys) and for per-record checksums. It is a
+/// `fmt::Write` sink, so large structures can be fingerprinted through
+/// their `Debug` form without materializing the string.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Fnv1a {
+    /// The empty hash (the FNV-1a offset basis).
+    pub const EMPTY: Fnv1a = Fnv1a(0xcbf2_9ce4_8422_2325);
+
+    /// Folds `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// 64-bit FNV-1a over a byte slice, the per-record checksum of
+/// [`checksum_frame`]; deterministic across platforms and processes.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::EMPTY;
+    h.update(bytes);
+    h.0
 }
 
 /// Why a framed line failed verification; see [`checksum_unframe`].
@@ -295,6 +323,355 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+// ---------------------------------------------------------------------
+// Minimal JSON parsing (journals, the job wire protocol, specs)
+// ---------------------------------------------------------------------
+
+/// A parsed JSON value. Numbers keep their raw text so integer seeds
+/// round-trip without an `f64` detour and floats re-parse to the exact
+/// bit pattern the shortest-roundtrip writer emitted.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `{...}` — insertion-ordered key/value pairs.
+    Obj(Vec<(String, Json)>),
+    /// `[...]`.
+    Arr(Vec<Json>),
+    /// A string literal, unescaped.
+    Str(String),
+    /// A number, as raw text.
+    Num(String),
+    /// `true` / `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+impl Json {
+    /// Object field lookup (first match).
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The array items, if this is an array.
+    #[must_use]
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The number as `u64` (exact; no float detour).
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The number as a finite `f64`. A literal beyond `f64`'s range
+    /// (`1e999`) is `None`, not infinity: JSON has no infinities, and a
+    /// replayed infinite value would later fail the writer's finiteness
+    /// assertion.
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(raw) => raw.parse().ok().filter(|x: &f64| x.is_finite()),
+            _ => None,
+        }
+    }
+}
+
+/// Deepest array/object nesting [`parse_json`] accepts. Every document
+/// the system writes nests only a few levels; the cap bounds the
+/// parser's recursion, so hostile input (say, one request line of
+/// `[[[[…`) is a parse error instead of a stack overflow that aborts the
+/// whole process.
+pub const MAX_JSON_DEPTH: usize = 128;
+
+/// Parses one JSON document (with nothing but whitespace after it).
+/// Returns `None` on any syntax error or on nesting deeper than
+/// [`MAX_JSON_DEPTH`] — the journal treats unparsable lines as lost
+/// work, not fatal corruption.
+#[must_use]
+pub fn parse_json(text: &str) -> Option<Json> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos == p.bytes.len() {
+        Some(v)
+    } else {
+        None
+    }
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, b: u8) -> Option<()> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Some(())
+        } else {
+            None
+        }
+    }
+
+    fn value(&mut self) -> Option<Json> {
+        match self.peek()? {
+            b'{' | b'[' => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return None;
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
+            b'"' => self.string().map(Json::Str),
+            b't' => self.literal(b"true", Json::Bool(true)),
+            b'f' => self.literal(b"false", Json::Bool(false)),
+            b'n' => self.literal(b"null", Json::Null),
+            _ => self.number(),
+        }
+    }
+
+    fn literal(&mut self, word: &[u8], v: Json) -> Option<Json> {
+        if self.bytes[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Some(v)
+        } else {
+            None
+        }
+    }
+
+    fn object(&mut self) -> Option<Json> {
+        self.eat(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Some(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => {
+                    self.pos += 1;
+                    return Some(Json::Obj(fields));
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    fn array(&mut self) -> Option<Json> {
+        self.eat(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Some(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b']' => {
+                    self.pos += 1;
+                    return Some(Json::Arr(items));
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    fn string(&mut self) -> Option<String> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek()? {
+                b'"' => {
+                    self.pos += 1;
+                    return Some(out);
+                }
+                b'\\' => {
+                    self.pos += 1;
+                    match self.peek()? {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
+                            let hex = std::str::from_utf8(hex).ok()?;
+                            let code = u32::from_str_radix(hex, 16).ok()?;
+                            // Surrogate pairs never appear in our own
+                            // output (the writer only \u-escapes control
+                            // characters); reject them rather than
+                            // misdecode.
+                            out.push(char::from_u32(code)?);
+                            self.pos += 4;
+                        }
+                        _ => return None,
+                    }
+                    self.pos += 1;
+                }
+                _ => {
+                    // Copy the whole run of plain bytes up to the next
+                    // quote or escape in one step. Both stop bytes are
+                    // ASCII, so the run ends on a char boundary of the
+                    // `&str` input and decoding it costs its own length
+                    // only: a long string parses in linear time.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).ok()?);
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Option<Json> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+        ) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return None;
+        }
+        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
+        // Validate now so `as_u64`/`as_f64` only see plausible numbers.
+        raw.parse::<f64>().ok()?;
+        Some(Json::Num(raw.to_owned()))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bounded line reading (journal replay, the daemon's request reader)
+// ---------------------------------------------------------------------
+
+/// Outcome of one [`read_bounded_line`] call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BoundedLine {
+    /// A line of at most the cap landed in the buffer (trailing `\n`
+    /// included when present; the final line of a file may lack one).
+    Line,
+    /// The line exceeded the cap: the buffer is empty and every byte up
+    /// to (and including) the next newline was read and discarded.
+    Oversized,
+    /// End of input with no pending bytes.
+    Eof,
+}
+
+/// Reads one newline-terminated line into `buf`, refusing to buffer
+/// more than `cap` bytes: an oversized line is consumed to its newline
+/// in streaming fashion (constant memory) and reported as
+/// [`BoundedLine::Oversized`] so recovery paths can count-and-skip a
+/// multi-GiB corrupt record instead of allocating for it. The daemon's
+/// request reader shares this guard — a hostile client line cannot OOM
+/// the server either.
+///
+/// # Errors
+///
+/// Propagates underlying read errors.
+pub fn read_bounded_line<R: io::BufRead + ?Sized>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<BoundedLine> {
+    buf.clear();
+    let mut oversized = false;
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(if oversized {
+                BoundedLine::Oversized
+            } else if buf.is_empty() {
+                BoundedLine::Eof
+            } else {
+                BoundedLine::Line
+            });
+        }
+        let (terminated, n) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(pos) => (true, pos + 1),
+            None => (false, chunk.len()),
+        };
+        if oversized || buf.len() + n > cap {
+            // Over the cap: drop what was buffered and discard the rest
+            // of the line as it streams past.
+            oversized = true;
+            buf.clear();
+        } else {
+            buf.extend_from_slice(&chunk[..n]);
+        }
+        reader.consume(n);
+        if terminated {
+            return Ok(if oversized {
+                BoundedLine::Oversized
+            } else {
+                BoundedLine::Line
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -400,5 +777,117 @@ mod tests {
             "temporary file is renamed away on success"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bounded_line_reader_streams_past_oversized_lines() {
+        use std::io::Cursor;
+        let mut input = Vec::new();
+        input.extend_from_slice(b"short\n");
+        input.extend_from_slice(&[b'x'; 100]);
+        input.push(b'\n');
+        input.extend_from_slice(b"after\n");
+        input.extend_from_slice(b"tail-no-newline");
+        let mut r = Cursor::new(input);
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_bounded_line(&mut r, &mut buf, 16).unwrap(),
+            BoundedLine::Line
+        );
+        assert_eq!(buf, b"short\n");
+        assert_eq!(
+            read_bounded_line(&mut r, &mut buf, 16).unwrap(),
+            BoundedLine::Oversized,
+        );
+        assert!(buf.is_empty(), "oversized bytes are never buffered");
+        assert_eq!(
+            read_bounded_line(&mut r, &mut buf, 16).unwrap(),
+            BoundedLine::Line
+        );
+        assert_eq!(buf, b"after\n");
+        assert_eq!(
+            read_bounded_line(&mut r, &mut buf, 16).unwrap(),
+            BoundedLine::Line,
+            "a final unterminated line is still delivered"
+        );
+        assert_eq!(buf, b"tail-no-newline");
+        assert_eq!(
+            read_bounded_line(&mut r, &mut buf, 16).unwrap(),
+            BoundedLine::Eof
+        );
+        // An unterminated oversized tail is reported, not buffered.
+        let mut r = Cursor::new(vec![b'y'; 64]);
+        assert_eq!(
+            read_bounded_line(&mut r, &mut buf, 16).unwrap(),
+            BoundedLine::Oversized,
+        );
+    }
+
+    #[test]
+    fn parser_handles_nesting_escapes_and_rejects_trailing_junk() {
+        let v = parse_json("{\"a\": [1, {\"b\": \"x\\n\\u0041\"}], \"c\": -1.5e3}").unwrap();
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[1]
+                .get("b")
+                .unwrap()
+                .as_str(),
+            Some("x\nA")
+        );
+        assert_eq!(v.get("c").unwrap().as_f64(), Some(-1500.0));
+        assert!(parse_json("{} trailing").is_none());
+        assert!(parse_json("{\"a\": }").is_none());
+        assert!(parse_json("[1, 2").is_none());
+    }
+
+    #[test]
+    fn nesting_beyond_the_cap_is_a_parse_error_not_a_stack_overflow() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse_json(&nest(MAX_JSON_DEPTH)).is_some());
+        assert!(parse_json(&nest(MAX_JSON_DEPTH + 1)).is_none());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\": ".repeat(MAX_JSON_DEPTH + 1),
+            "}".repeat(MAX_JSON_DEPTH + 1)
+        );
+        assert!(parse_json(&objects).is_none());
+        // Far past the cap (and unterminated) on a small stack: rejected
+        // without recursing once per byte.
+        let hostile = "[".repeat(1 << 20);
+        let probe = std::thread::Builder::new()
+            .stack_size(512 << 10)
+            .spawn(move || parse_json(&hostile).is_none())
+            .expect("spawn");
+        assert!(probe.join().expect("no stack overflow"));
+    }
+
+    /// Regression: string parsing used to re-validate the whole remaining
+    /// input for every plain character, so a 256 KiB string took ~1.6 s
+    /// and a 4 MiB journal line minutes. A 1 MiB string now parses in
+    /// linear time, with multi-byte scalars and escapes intact.
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        let body = "ab\u{e9}\u{1f980}".repeat(1 << 17);
+        assert!(body.len() >= 1 << 20);
+        let doc = format!("{{\"detail\": \"{}\\n\"}}", escape(&body));
+        let t0 = std::time::Instant::now();
+        let v = parse_json(&doc).expect("parses");
+        let elapsed = t0.elapsed();
+        let detail = v.get("detail").and_then(Json::as_str).expect("string");
+        assert_eq!(&detail[..body.len()], body);
+        assert!(detail.ends_with('\n'));
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "1 MiB string took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn fnv1a_sink_matches_the_slice_hash() {
+        let mut h = Fnv1a::EMPTY;
+        write!(h, "region|{:?}", [1, 2]).unwrap();
+        assert_eq!(h.0, fnv1a(b"region|[1, 2]"));
+        assert_eq!(fnv1a(b""), Fnv1a::EMPTY.0);
+        // The published FNV-1a 64-bit test vector.
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

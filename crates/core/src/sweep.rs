@@ -40,6 +40,15 @@
 //! a crash — or a [`crate::CancelToken`] stop — re-running with the
 //! resumed journal replays completed cells and re-executes only the rest,
 //! and the final report is **byte-identical** to an uninterrupted run.
+//! A second journal can serve as a cross-campaign result cache: consulted
+//! after the campaign journal, it
+//! serves only settled cells and collects the settled cells this
+//! campaign executes.
+//!
+//! Everything runs in this one process: a panic, a hang or a deadline
+//! is contained per cell, but an abort, an OOM kill or a stack overflow
+//! inside a cell ends the campaign — and the journal is what recovers
+//! it (`--resume`).
 //!
 //! ```
 //! use nachos::sweep::{run_sweep, SweepConfig, SweepJob, SweepVariant};
@@ -61,11 +70,8 @@
 //! assert!(sweep.all_match());
 //! ```
 
-pub mod cache;
 pub mod daemon;
-pub mod heartbeat;
 pub mod journal;
-pub mod shard;
 
 use crate::config::{Backend, SimConfig};
 use crate::driver::{compile_for_backend, run_backend_compiled_in, CompiledRegion, ExperimentRun};
@@ -344,6 +350,19 @@ impl RunStatus {
         })
     }
 
+    /// `true` for deterministic conclusions about a cell's inputs (`ok`,
+    /// `mismatch`, `fault_detected`) — the only statuses a result cache
+    /// serves to later campaigns. Transient failures, quarantines and
+    /// cancellations stay campaign-local: a new campaign deserves a
+    /// fresh attempt, with its own retry budget, at anything unsettled.
+    #[must_use]
+    pub fn is_settled(self) -> bool {
+        matches!(
+            self,
+            RunStatus::Ok | RunStatus::Mismatch | RunStatus::FaultDetected
+        )
+    }
+
     /// `true` for statuses the [`RetryPolicy`] treats as retryable.
     /// Differential verdicts (`ok`/`mismatch`/`fault_detected`) are
     /// deterministic conclusions, quarantine is final, and cancellation
@@ -418,20 +437,6 @@ impl VariantOutcome {
         })
     }
 
-    /// The completed run, for callers that require a clean sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the run's recorded detail when the run did not
-    /// complete. Fallible callers should prefer [`Self::try_run`].
-    #[must_use]
-    pub fn expect_run(&self) -> &ExperimentRun {
-        match self.try_run() {
-            Ok(run) => run,
-            Err(why) => panic!("{why}"),
-        }
-    }
-
     /// Deterministic descriptions of injected faults that fired in this
     /// run (from the completed result, the deadlock dump, or the journal).
     #[must_use]
@@ -491,16 +496,24 @@ pub struct SweepResult {
 }
 
 /// Orchestration counters from a journaled sweep — how much work the
-/// journal saved. Diagnostics only: none of this enters the report.
+/// journal and the cache saved. Diagnostics only: none of this enters
+/// the report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Cells replayed from the journal without re-execution.
     pub replayed: usize,
     /// Cells executed live in this process.
     pub executed: usize,
-    /// Journal appends that failed (the sweep continues; those cells are
-    /// simply re-run on the next resume).
+    /// Journal and cache appends that failed (the sweep continues; those
+    /// cells are simply re-run on the next resume).
     pub journal_errors: usize,
+    /// Cells the campaign journal lacked and the cache served.
+    pub cache_hits: usize,
+    /// Cells neither the campaign journal nor the cache could serve
+    /// (counted only when a cache is attached).
+    pub cache_misses: usize,
+    /// Settled cells executed here and appended to the cache.
+    pub cache_stored: usize,
 }
 
 /// Runs every job through every variant on a scoped worker pool.
@@ -512,24 +525,39 @@ pub struct SweepStats {
 /// [`run_sweep_journaled`] without a journal.
 #[must_use]
 pub fn run_sweep(jobs: &[SweepJob], cfg: &SweepConfig) -> SweepResult {
-    run_sweep_journaled(jobs, cfg, None).0
+    run_sweep_journaled(jobs, cfg, None, None).0
 }
 
-/// [`run_sweep`] with an optional durable journal attached.
+/// [`run_sweep`] with an optional durable journal and an optional result
+/// cache attached.
 ///
 /// With a journal, every completed cell is appended (and fsynced) as it
 /// finishes, and cells whose content key is already recorded are replayed
 /// instead of re-executed — so a sweep interrupted by a crash, a kill or
 /// a [`crate::CancelToken`] resumes where it left off and still produces
 /// a report byte-identical to an uninterrupted run.
+///
+/// The cache is a second [`Journal`], typically shared by many
+/// campaigns, consulted for every cell the journal lacks. It serves only
+/// settled outcomes ([`RunStatus::is_settled`]) and receives every
+/// settled cell this sweep executes. Cache keys are the same content
+/// hashes, so a changed input can never be served a stale outcome, and a
+/// corrupt cache line is dropped on load like any journal line — its
+/// cell re-executes and is appended afresh. The report is byte-identical
+/// with or without it.
 #[must_use]
 pub fn run_sweep_journaled(
     jobs: &[SweepJob],
     cfg: &SweepConfig,
     journal: Option<&Journal>,
+    cache: Option<&Journal>,
 ) -> (SweepResult, SweepStats) {
     let threads = effective_threads(cfg.threads, jobs.len());
-    let sup = Supervisor::new();
+    let sup = Supervisor {
+        journal,
+        cache,
+        ..Supervisor::default()
+    };
     let mut slots: Vec<(usize, JobOutcome)> = Vec::with_capacity(jobs.len());
     thread::scope(|s| {
         // Supervision loop: spawn a round of workers, join them, and
@@ -541,7 +569,7 @@ pub fn run_sweep_journaled(
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     let sup = &sup;
-                    s.spawn(move || worker(jobs, cfg, journal, sup))
+                    s.spawn(move || worker(jobs, cfg, sup))
                 })
                 .collect();
             let mut any_retired = false;
@@ -562,10 +590,14 @@ pub fn run_sweep_journaled(
         }
     });
     slots.sort_by_key(|(i, _)| *i);
+    let count = |c: &AtomicUsize| c.load(Ordering::Relaxed);
     let stats = SweepStats {
-        replayed: sup.replayed.load(Ordering::Relaxed),
-        executed: sup.executed.load(Ordering::Relaxed),
-        journal_errors: sup.journal_errors.load(Ordering::Relaxed),
+        replayed: count(&sup.replayed),
+        executed: count(&sup.executed),
+        journal_errors: count(&sup.journal_errors),
+        cache_hits: count(&sup.cache_hits),
+        cache_misses: count(&sup.cache_misses),
+        cache_stored: count(&sup.cache_stored),
     };
     let result = SweepResult {
         invocations: cfg.sim.invocations,
@@ -582,25 +614,70 @@ fn effective_threads(requested: usize, jobs: usize) -> usize {
 }
 
 /// Shared orchestration state: the claim counter, the requeue list for
-/// jobs whose worker died, per-job strike counts, and the stats counters.
-struct Supervisor {
+/// jobs whose worker died, per-job strike counts, the durable stores and
+/// the stats counters.
+#[derive(Default)]
+struct Supervisor<'a> {
     next: AtomicUsize,
     requeued: Mutex<Vec<usize>>,
     strikes: Mutex<HashMap<usize, u32>>,
+    journal: Option<&'a Journal>,
+    cache: Option<&'a Journal>,
     replayed: AtomicUsize,
     executed: AtomicUsize,
     journal_errors: AtomicUsize,
+    cache_hits: AtomicUsize,
+    cache_misses: AtomicUsize,
+    cache_stored: AtomicUsize,
 }
 
-impl Supervisor {
-    fn new() -> Self {
-        Self {
-            next: AtomicUsize::new(0),
-            requeued: Mutex::new(Vec::new()),
-            strikes: Mutex::new(HashMap::new()),
-            replayed: AtomicUsize::new(0),
-            executed: AtomicUsize::new(0),
-            journal_errors: AtomicUsize::new(0),
+impl<'a> Supervisor<'a> {
+    /// The recorded outcome for `key`: the campaign journal first, then
+    /// the cache, which serves settled outcomes only.
+    fn replay(&self, key: RunKey) -> Option<&'a OutcomeRecord> {
+        if let Some(rec) = self.journal.and_then(|j| j.lookup(key)) {
+            self.replayed.fetch_add(1, Ordering::Relaxed);
+            return Some(rec);
+        }
+        let cache = self.cache?;
+        match cache.lookup(key).filter(|rec| rec.status.is_settled()) {
+            Some(rec) => {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                Some(rec)
+            }
+            None => {
+                self.cache_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Durably records a cell this process executed: into the campaign
+    /// journal unless it was cancelled (a resume re-executes it in full),
+    /// and into the cache when it settled.
+    fn record(&self, job: &SweepJob, v: &SweepVariant, key: RunKey, out: &VariantOutcome) {
+        let journal = self.journal.filter(|_| out.status != RunStatus::Cancelled);
+        let cache = self.cache.filter(|_| out.status.is_settled());
+        if journal.is_none() && cache.is_none() {
+            return;
+        }
+        let rec = RunRecord {
+            key,
+            job: job.name.clone(),
+            variant: v.label.clone(),
+            outcome: out.to_record(),
+        };
+        if let Some(j) = journal {
+            if j.append(&rec).is_err() {
+                self.journal_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        if let Some(c) = cache {
+            let counter = match c.append(&rec) {
+                Ok(()) => &self.cache_stored,
+                Err(_) => &self.journal_errors,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -650,8 +727,7 @@ impl Supervisor {
 fn worker(
     jobs: &[SweepJob],
     cfg: &SweepConfig,
-    journal: Option<&Journal>,
-    sup: &Supervisor,
+    sup: &Supervisor<'_>,
 ) -> (Vec<(usize, JobOutcome)>, bool) {
     let mut mine = Vec::new();
     // One arena per worker: simulation state is built once and reset
@@ -660,9 +736,7 @@ fn worker(
     let mut retired = false;
     while let Some(i) = sup.claim(jobs.len()) {
         let job = &jobs[i];
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_job(job, cfg, &mut arena, journal, sup)
-        }));
+        let caught = catch_unwind(AssertUnwindSafe(|| run_job(job, cfg, &mut arena, sup)));
         match caught {
             Ok(outcome) => mine.push((i, outcome)),
             Err(payload) => {
@@ -673,7 +747,10 @@ fn worker(
                 let msg = panic_message(payload.as_ref());
                 let strikes = sup.strike(i);
                 if strikes >= cfg.quarantine_after.max(1) {
-                    mine.push((i, quarantined_job(job, cfg, strikes, &msg)));
+                    let detail =
+                        format!("quarantined: job-level panic killed {strikes} workers: {msg}");
+                    let outcome = unrun_job(job, cfg, RunStatus::Quarantined, &detail, None);
+                    mine.push((i, outcome));
                 } else {
                     sup.requeue(i);
                 }
@@ -685,37 +762,40 @@ fn worker(
     (mine, retired)
 }
 
-/// The outcome of a job whose reference pass was cancelled: journaled
-/// cells still replay (they settled before the cut and cost nothing),
-/// every other cell is [`RunStatus::Cancelled`]. Nothing new is
-/// journaled, so a resume re-executes the cancelled cells in full.
-fn cancelled_job(
+/// The outcome of a job whose reference execution never completed, so
+/// none of its cells can run: every cell reports `status` with `detail`
+/// under its first-attempt seed, and the reference is empty. Nothing is
+/// journaled, so a resume re-executes these cells in full — a
+/// deterministic job-level panic re-quarantines identically, while a
+/// cancellation or an environmental panic gets a fresh chance. With
+/// `replay`, cells recorded before a cancellation still replay (they
+/// settled before the cut and cost nothing).
+fn unrun_job(
     job: &SweepJob,
     cfg: &SweepConfig,
-    sim_cfg: &SimConfig,
-    journal: Option<&Journal>,
-    sup: &Supervisor,
+    status: RunStatus,
+    detail: &str,
+    replay: Option<&Supervisor<'_>>,
 ) -> JobOutcome {
-    let fp = journal::job_fingerprint(&job.region, &job.binding, sim_cfg);
+    let fp = journal::job_fingerprint(&job.region, &job.binding, &job_sim_config(job, cfg));
     let runs = cfg
         .variants
         .iter()
         .map(|v| {
             let key = journal::run_key(fp, v);
-            if let Some(rec) = journal.and_then(|j| j.lookup(key)) {
-                sup.replayed.fetch_add(1, Ordering::Relaxed);
+            if let Some(rec) = replay.and_then(|sup| sup.replay(key)) {
                 return VariantOutcome::from_record(v, rec.clone());
             }
             VariantOutcome {
                 variant: v.label.clone(),
                 backend: v.backend,
-                status: RunStatus::Cancelled,
+                status,
                 run: None,
                 error: None,
-                detail: Some("cancelled before the reference execution completed".to_owned()),
+                detail: Some(detail.to_owned()),
                 injected: Vec::new(),
                 attempts: vec![Attempt {
-                    status: RunStatus::Cancelled,
+                    status,
                     seed: journal::derive_seed(key, 0),
                 }],
                 metrics: None,
@@ -732,65 +812,27 @@ fn cancelled_job(
     }
 }
 
-/// The outcome of a job whose setup killed `strikes` workers: every cell
-/// is [`RunStatus::Quarantined`] with the deterministic panic message,
-/// and the reference is empty (it never completed). Quarantined cells are
-/// not journaled — if the underlying panic is deterministic a resume
-/// reproduces the identical outcome, and if it was environmental the
-/// resume gets a fresh chance at a real run.
-fn quarantined_job(job: &SweepJob, cfg: &SweepConfig, strikes: u32, msg: &str) -> JobOutcome {
+/// The sweep-wide simulator configuration with the job's own fault plan
+/// appended — the configuration its cells run and are keyed under.
+fn job_sim_config(job: &SweepJob, cfg: &SweepConfig) -> SimConfig {
     let mut sim_cfg = cfg.sim.clone();
     sim_cfg
         .fault
         .faults
         .extend(job.fault.faults.iter().copied());
-    let fp = journal::job_fingerprint(&job.region, &job.binding, &sim_cfg);
-    let detail = format!("quarantined: job-level panic killed {strikes} workers: {msg}");
-    let runs = cfg
-        .variants
-        .iter()
-        .map(|v| {
-            let key = journal::run_key(fp, v);
-            VariantOutcome {
-                variant: v.label.clone(),
-                backend: v.backend,
-                status: RunStatus::Quarantined,
-                run: None,
-                error: None,
-                detail: Some(detail.clone()),
-                injected: Vec::new(),
-                attempts: vec![Attempt {
-                    status: RunStatus::Quarantined,
-                    seed: journal::derive_seed(key, 0),
-                }],
-                metrics: None,
-            }
-        })
-        .collect();
-    JobOutcome {
-        name: job.name.clone(),
-        reference: ReferenceResult {
-            mem: DataMemory::new(),
-            loads: crate::value::LoadObserver::new(),
-        },
-        runs,
-    }
+    sim_cfg
 }
 
 /// Runs one job through the whole variant matrix, sequentially, isolating
-/// each run behind a panic boundary and replaying journaled cells.
+/// each run behind a panic boundary and replaying journaled or cached
+/// cells.
 fn run_job(
     job: &SweepJob,
     cfg: &SweepConfig,
     arena: &mut SimArena,
-    journal: Option<&Journal>,
-    sup: &Supervisor,
+    sup: &Supervisor<'_>,
 ) -> JobOutcome {
-    let mut sim_cfg = cfg.sim.clone();
-    sim_cfg
-        .fault
-        .faults
-        .extend(job.fault.faults.iter().copied());
+    let sim_cfg = job_sim_config(job, cfg);
     let fp = journal::job_fingerprint(&job.region, &job.binding, &sim_cfg);
     // A tripped cancel token stops even the reference pass: a sweep under
     // a wall-clock deadline must not hide in the in-order executor while
@@ -801,7 +843,8 @@ fn run_job(
         cfg.sim.invocations,
         cfg.sim.cancel.as_ref(),
     ) else {
-        return cancelled_job(job, cfg, &sim_cfg, journal, sup);
+        let detail = "cancelled before the reference execution completed";
+        return unrun_job(job, cfg, RunStatus::Cancelled, detail, Some(sup));
     };
     // Variants sharing a stage configuration and MDE requirement reuse
     // one compile: within a job, compilation depends only on those two
@@ -812,8 +855,7 @@ fn run_job(
         .iter()
         .map(|v| {
             let key = journal::run_key(fp, v);
-            if let Some(rec) = journal.and_then(|j| j.lookup(key)) {
-                sup.replayed.fetch_add(1, Ordering::Relaxed);
+            if let Some(rec) = sup.replay(key) {
                 return VariantOutcome::from_record(v, rec.clone());
             }
             let out = run_cell(
@@ -828,21 +870,7 @@ fn run_job(
                 cfg.retry,
             );
             sup.executed.fetch_add(1, Ordering::Relaxed);
-            // Cancelled cells stay out of the journal so a resumed sweep
-            // re-executes them in full.
-            if out.status != RunStatus::Cancelled {
-                if let Some(j) = journal {
-                    let rec = RunRecord {
-                        key,
-                        job: job.name.clone(),
-                        variant: v.label.clone(),
-                        outcome: out.to_record(),
-                    };
-                    if j.append(&rec).is_err() {
-                        sup.journal_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+            sup.record(job, v, key, &out);
             out
         })
         .collect();
@@ -1042,6 +1070,22 @@ impl SweepResult {
             }
         }
         out
+    }
+
+    /// The counts behind the exit-code contract: `(mismatched cells,
+    /// degraded cells)`, where degraded is any status other than `ok` or
+    /// `mismatch`.
+    #[must_use]
+    pub fn verdict_counts(&self) -> (u64, u64) {
+        let (mut mismatches, mut degraded) = (0, 0);
+        for r in self.jobs.iter().flat_map(|j| &j.runs) {
+            match r.status {
+                RunStatus::Ok => {}
+                RunStatus::Mismatch => mismatches += 1,
+                _ => degraded += 1,
+            }
+        }
+        (mismatches, degraded)
     }
 
     /// Every run's `(job, variant, status)` triple, in sweep order.
@@ -1452,7 +1496,7 @@ mod tests {
         let path = dir.join("j.jsonl");
         let jrn = Journal::create(&path).unwrap();
         let jobs = [demo_job("a")];
-        let (sweep, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn));
+        let (sweep, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn), None);
         assert!(sweep
             .statuses()
             .iter()
@@ -1486,11 +1530,11 @@ mod tests {
         let dir = std::env::temp_dir().join("nachos-sweep-journal-unit");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.jsonl");
-        // First pass journals everything (simulating a completed shard of
-        // an interrupted campaign: only jobs a and b ran).
+        // First pass journals everything (simulating an interrupted
+        // campaign: only jobs a and b ran).
         {
             let jrn = Journal::create(&path).unwrap();
-            let (_, stats) = run_sweep_journaled(&jobs[..2], &cfg, Some(&jrn));
+            let (_, stats) = run_sweep_journaled(&jobs[..2], &cfg, Some(&jrn), None);
             assert_eq!(stats.executed, 6);
             assert_eq!(stats.replayed, 0);
         }
@@ -1498,14 +1542,14 @@ mod tests {
         // the report matches an uninterrupted sweep byte for byte.
         let jrn = Journal::resume(&path).unwrap();
         assert_eq!(jrn.replay_len(), 6);
-        let (resumed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn));
+        let (resumed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn), None);
         assert_eq!(stats.replayed, 6);
         assert_eq!(stats.executed, 3);
         assert_eq!(resumed.to_json(), clean.to_json());
         // A second resume replays everything.
         drop(jrn);
         let jrn = Journal::resume(&path).unwrap();
-        let (replayed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn));
+        let (replayed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn), None);
         assert_eq!(stats.replayed, 9);
         assert_eq!(stats.executed, 0);
         assert_eq!(replayed.to_json(), clean.to_json());

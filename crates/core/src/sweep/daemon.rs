@@ -1,6 +1,6 @@
 //! The crash-safe sweep job service behind `nachos-sweepd`.
 //!
-//! One-shot sweeps (journaled, sharded, cached) already survive kills;
+//! One-shot sweeps (journaled, cached) already survive kills;
 //! this module promotes that discipline to a *resident* process: a
 //! long-running daemon that accepts sweep matrices over a Unix domain
 //! socket, runs them through the same journaled harness, and hands
@@ -63,14 +63,12 @@
 //! job cooperatively and *requeues it durably* — the daemon exits 0
 //! immediately with a journal a future restart resumes from.
 
-use super::journal::{
-    file_lacks_final_newline, parse_json, read_bounded_line, BoundedLine, Journal, Json,
-    MAX_JSON_DEPTH, MAX_RECORD_LEN,
-};
-use super::{run_sweep_journaled, RunStatus, SweepConfig, SweepJob};
+use super::journal::{recover_lines, Journal};
+use super::{run_sweep_journaled, SweepConfig, SweepJob};
 use crate::config::CancelToken;
 use crate::json::{checksum_frame, checksum_unframe, write_atomic, JsonWriter};
-use std::fs::{self, File, OpenOptions};
+use crate::json::{parse_json, read_bounded_line, BoundedLine, Json, MAX_JSON_DEPTH};
+use std::fs::{self, File};
 use std::io::{self, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -444,48 +442,17 @@ impl JobLog {
 fn load_job_log(path: &Path) -> io::Result<(JobLog, Vec<JobEvent>, usize)> {
     let mut events = Vec::new();
     let mut skipped = 0usize;
-    let mut torn_tail = false;
-    match File::open(path) {
-        Ok(f) => {
-            let mut reader = BufReader::new(f);
-            let mut buf = Vec::new();
-            loop {
-                match read_bounded_line(&mut reader, &mut buf, MAX_RECORD_LEN)? {
-                    BoundedLine::Eof => break,
-                    BoundedLine::Oversized { .. } => {
-                        skipped += 1;
-                        continue;
-                    }
-                    BoundedLine::Line => {}
-                }
-                let Ok(line) = std::str::from_utf8(&buf) else {
-                    skipped += 1;
-                    continue;
-                };
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                let parsed = checksum_unframe(line)
-                    .ok()
-                    .and_then(parse_json)
-                    .as_ref()
-                    .and_then(JobEvent::from_payload);
-                match parsed {
-                    Some(ev) => events.push(ev),
-                    None => skipped += 1,
-                }
-            }
-            torn_tail = file_lacks_final_newline(path)?;
+    let file = recover_lines(path, |line| {
+        let event = line
+            .and_then(|l| checksum_unframe(l).ok())
+            .and_then(parse_json)
+            .as_ref()
+            .and_then(JobEvent::from_payload);
+        match event {
+            Some(ev) => events.push(ev),
+            None => skipped += 1,
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    if torn_tail {
-        file.write_all(b"\n")?;
-        file.flush()?;
-    }
+    })?;
     Ok((JobLog { file }, events, skipped))
 }
 
@@ -1065,7 +1032,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         Ok(j) => j,
         Err(e) => return quarantine(format!("run journal unavailable: {e}")),
     };
-    let (sweep, stats) = run_sweep_journaled(&jobs, &cfg, Some(&journal));
+    let (sweep, stats) = run_sweep_journaled(&jobs, &cfg, Some(&journal), None);
 
     // Phase 3: classify. Report bytes land on disk (atomically) before
     // the settle edge is journaled — a crash between the two replays
@@ -1100,15 +1067,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             CancelReason::Client => (JobStatus::Cancelled, None, 0, 0),
         }
     } else {
-        let statuses = sweep.statuses();
-        let mismatches = statuses
-            .iter()
-            .filter(|(_, _, s)| *s == RunStatus::Mismatch)
-            .count() as u64;
-        let degraded = statuses
-            .iter()
-            .filter(|(_, _, s)| !matches!(*s, RunStatus::Ok | RunStatus::Mismatch))
-            .count() as u64;
+        let (mismatches, degraded) = sweep.verdict_counts();
         report = Some(sweep.to_json());
         (JobStatus::Settled, None, mismatches, degraded)
     };
@@ -1203,7 +1162,7 @@ fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
     loop {
         match read_bounded_line(&mut reader, &mut buf, MAX_REQUEST_LEN) {
             Ok(BoundedLine::Eof) | Err(_) => return,
-            Ok(BoundedLine::Oversized { .. }) => {
+            Ok(BoundedLine::Oversized) => {
                 let _ = Response::err("oversized_request").send(&mut out);
                 return;
             }
@@ -1540,7 +1499,7 @@ mod tests {
         }
         // Damage: a foreign line, then a torn tail.
         {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(b"garbage line\n").unwrap();
             f.write_all(b"ffffffffffffffff {\"jobd\": \"nachos-jobd")
                 .unwrap();

@@ -66,7 +66,7 @@ fn fixture() -> &'static Fixture {
 
         let path = scratch("seed-journal.jsonl");
         let journal = Journal::create(&path).expect("create journal");
-        let _ = run_sweep_journaled(&jobs, &cfg, Some(&journal));
+        let _ = run_sweep_journaled(&jobs, &cfg, Some(&journal), None);
         drop(journal);
         let lines: Vec<String> = std::fs::read_to_string(&path)
             .expect("read journal")
@@ -129,7 +129,7 @@ proptest! {
         prop_assert_eq!(journal.replay_len(), fx.lines.len());
         prop_assert_eq!(journal.skipped(), 0);
 
-        let (resumed, stats) = run_sweep_journaled(&fx.jobs, &fx.cfg, Some(&journal));
+        let (resumed, stats) = run_sweep_journaled(&fx.jobs, &fx.cfg, Some(&journal), None);
         prop_assert_eq!(stats.executed, 0, "every cell must replay");
         prop_assert_eq!(stats.replayed, fx.lines.len());
         prop_assert_eq!(resumed.to_json(), fx.clean_json.clone());

@@ -3,19 +3,16 @@
 //! A sweep interrupted at any point — process kill, torn journal write,
 //! cancellation — must resume from its durable journal and emit a report
 //! **byte-identical** to an uninterrupted run, retry attempt logs
-//! included. A job that repeatedly kills its workers must be quarantined
-//! without poisoning the rest of the matrix.
+//! included. A job that panics on every attempt must be quarantined
+//! without poisoning the rest of the matrix. The same contract through
+//! the real binary — `kill -9` mid-sweep, then `--resume` — is pinned by
+//! `crates/bench/tests/sweep_cli.rs`.
 
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::time::Duration;
 
-use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
 use nachos::sweep::journal::Journal;
-use nachos::sweep::shard::{
-    enumerate_cells, run_sweep_sharded, shard_dir, shard_journal_path, shard_of, ShardConfig,
-};
 use nachos::sweep::{run_sweep, run_sweep_journaled, RunStatus, SweepConfig, SweepJob};
 use nachos::{Backend, FaultKind, FaultPlan, FaultSpec};
 use nachos_ir::{AffineExpr, Binding, IntOp, MemRef, RegionBuilder};
@@ -80,7 +77,7 @@ fn interrupted_sweep_resumes_byte_identically() {
     let path = tmp_path("interrupt.jsonl");
     {
         let journal = Journal::create(&path).expect("create journal");
-        let (_, stats) = run_sweep_journaled(&jobs[..2], &cfg, Some(&journal));
+        let (_, stats) = run_sweep_journaled(&jobs[..2], &cfg, Some(&journal), None);
         assert_eq!(stats.executed, 2 * variants);
         assert_eq!(stats.journal_errors, 0);
     }
@@ -93,7 +90,7 @@ fn interrupted_sweep_resumes_byte_identically() {
     let journal = Journal::resume(&path).expect("resume journal");
     assert_eq!(journal.replay_len(), 2 * variants);
     assert_eq!(journal.skipped(), 1, "the torn tail record is skipped");
-    let (resumed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&journal));
+    let (resumed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&journal), None);
     assert_eq!(stats.replayed, 2 * variants);
     assert_eq!(stats.executed, variants);
     assert_eq!(
@@ -108,7 +105,7 @@ fn interrupted_sweep_resumes_byte_identically() {
     // A second resume finds everything journaled and executes nothing.
     let journal = Journal::resume(&path).expect("resume journal");
     assert_eq!(journal.replay_len(), 3 * variants);
-    let (replayed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&journal));
+    let (replayed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&journal), None);
     assert_eq!(stats.executed, 0);
     assert_eq!(stats.replayed, 3 * variants);
     assert_eq!(replayed.to_json(), clean);
@@ -183,150 +180,4 @@ fn quarantined_poison_job_leaves_the_rest_of_the_sweep_intact() {
     // byte for byte, per-attempt seeds and all.
     let single = run_sweep(&jobs, &cfg.clone().with_threads(1));
     assert_eq!(single.to_json(), json);
-}
-
-/// The process-isolation acceptance bar: a sharded campaign whose worker
-/// processes all die by SIGKILL — mid-shard, with a torn record and a
-/// dangling `start` heartbeat in their journals, exactly what `kill -9`
-/// leaves — must exhaust its respawn budget, hand the unfinished cells
-/// to the inline pass, and still emit the uninterrupted single-process
-/// report byte for byte.
-#[test]
-fn sigkilled_workers_resume_byte_identically() {
-    let jobs = vec![job("gzip"), token_job("drop-token"), job("fft-2d")];
-    let cfg = SweepConfig::default()
-        .with_invocations(6)
-        .with_retries(1)
-        .with_threads(2);
-    let cells = enumerate_cells(&jobs, &cfg);
-    let clean = run_sweep(&jobs, &cfg).to_json();
-
-    // A donor run supplies authentic journal records; the "crashed"
-    // campaign completed only a prefix of them.
-    let dir = tmp_path("sigkill-shard");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let donor_path = dir.join("donor.jsonl");
-    {
-        let donor = Journal::create(&donor_path).expect("create donor");
-        let _ = run_sweep_journaled(&jobs, &cfg, Some(&donor));
-    }
-    let donor_lines: Vec<String> = std::fs::read_to_string(&donor_path)
-        .expect("read donor")
-        .lines()
-        .map(str::to_owned)
-        .collect();
-    assert_eq!(donor_lines.len(), cells.len());
-    let done = cells.len() / 2;
-
-    let campaign = dir.join("campaign.jsonl");
-    let sdir = shard_dir(&campaign);
-    std::fs::create_dir_all(&sdir).expect("shard dir");
-    let shards = 2usize;
-    let mut contents: Vec<String> = vec![String::new(); shards];
-    for (i, line) in donor_lines.iter().take(done).enumerate() {
-        contents[i % shards].push_str(line);
-        contents[i % shards].push('\n');
-    }
-    // The kill -9 residue: a torn half-record on one journal, a `start`
-    // heartbeat with no matching record (the cell in flight at the time
-    // of death) on the other.
-    contents[0].push_str("f00dface00000000 {\"journal\": \"nachos-journal-v1\", \"key");
-    let in_flight = cells[done];
-    contents[1].push_str(
-        &Heartbeat {
-            seq: 99,
-            phase: HeartbeatPhase::Start,
-            cell: Some(in_flight.key),
-        }
-        .to_line(),
-    );
-    for (i, content) in contents.iter().enumerate() {
-        std::fs::write(shard_journal_path(&sdir, i), content).expect("write shard journal");
-    }
-
-    // Every respawned worker dies by SIGKILL before reading its header.
-    let mut scfg = ShardConfig::new(
-        shards,
-        vec!["/bin/sh".into(), "-c".into(), "kill -9 $$".into()],
-        &campaign,
-    );
-    scfg.resume = true;
-    scfg.max_respawns = 1;
-    scfg.poll = Duration::from_millis(2);
-    scfg.silence_budget = Duration::ZERO;
-    let (sharded, sweep_stats, stats) =
-        run_sweep_sharded(&jobs, &cfg, &scfg).expect("sharded sweep");
-    assert_eq!(stats.recovered, done, "the completed prefix is absorbed");
-    assert!(stats.respawns >= 1, "dead workers are respawned");
-    assert_eq!(
-        stats.quarantined, 0,
-        "strikes stay under the default budget"
-    );
-    assert_eq!(stats.abandoned, cells.len() - done);
-    assert_eq!(sweep_stats.executed, cells.len() - done);
-    assert_eq!(
-        sharded.to_json(),
-        clean,
-        "SIGKILL'd workers must not change a single report byte"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A hostile cell that kills every worker that touches it is quarantined
-/// *by the supervisor* — attributed through the heartbeat trail, charged
-/// a strike per dead worker, and parked with a deterministic record —
-/// while every other cell completes normally.
-#[test]
-fn cell_that_kills_workers_is_quarantined_by_the_supervisor() {
-    let jobs = vec![job("gzip"), job("fft-2d")];
-    let mut cfg = SweepConfig::default().with_invocations(2);
-    cfg.quarantine_after = 1;
-    let cells = enumerate_cells(&jobs, &cfg);
-
-    let dir = tmp_path("supervisor-quarantine");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let campaign = dir.join("campaign.jsonl");
-    let sdir = shard_dir(&campaign);
-    std::fs::create_dir_all(&sdir).expect("shard dir");
-
-    // The hostile cell's shard journal holds its `start` heartbeat and
-    // no record: the worker died executing it.
-    let shards = 2usize;
-    let victim = cells[0];
-    std::fs::write(
-        shard_journal_path(&sdir, shard_of(victim.key, shards)),
-        Heartbeat {
-            seq: 0,
-            phase: HeartbeatPhase::Start,
-            cell: Some(victim.key),
-        }
-        .to_line(),
-    )
-    .expect("write heartbeat");
-
-    // Workers exit without completing anything, so the strike is charged
-    // on the very first reap.
-    let mut scfg = ShardConfig::new(shards, vec!["true".into()], &campaign);
-    scfg.max_respawns = 0;
-    scfg.poll = Duration::from_millis(2);
-    scfg.silence_budget = Duration::ZERO;
-    let (sharded, _, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).expect("sharded sweep");
-    assert_eq!(stats.quarantined, 1);
-    assert_eq!(stats.abandoned, cells.len() - 1);
-
-    let victim_job = jobs[victim.job].name.clone();
-    let victim_variant = cfg.variants[victim.variant].label.clone();
-    for (j, v, s) in sharded.statuses() {
-        if j == victim_job && v == victim_variant {
-            assert_eq!(s, RunStatus::Quarantined, "{j} [{v}]");
-        } else {
-            assert_eq!(s, RunStatus::Ok, "{j} [{v}]: quarantine must not leak");
-        }
-    }
-    assert!(sharded
-        .to_json()
-        .contains("quarantined: cell killed or stalled 1 worker processes"));
-    std::fs::remove_dir_all(&dir).ok();
 }
