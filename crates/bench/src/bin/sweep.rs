@@ -148,8 +148,9 @@ Cache format and invalidation: the cache is a run journal like
 --journal FILE, keyed by the FNV-1a content hash of (region, binding,
 variant, fault plan, simulator config), so stale entries are never
 served, merely unreachable. Only settled statuses (ok, mismatch,
-fault_detected) are served or stored; a corrupt line is skipped and
-counted on load, and its cell re-executes once.
+fault_detected) are served or stored; a corrupt line, or one of an
+older journal schema, is skipped and counted on load, and its cell
+re-executes once.
 ";
 
 fn usage_error(msg: &str) -> ExitCode {

@@ -115,7 +115,7 @@ mod tests {
         assert!(!jobs[0].fault.is_empty(), "poison attaches a fault plan");
         assert!(cfg.variants.iter().any(|v| v.label == "ideal"));
         assert!(cfg.sim.optimize);
-        assert_eq!(cfg.retry.max_retries, 2);
+        assert_eq!(cfg.max_retries, 2);
         assert_eq!(cfg.sim.watchdog.base_cycles, 1234);
         assert_eq!(cfg.sim.watchdog.cycles_per_node, 56);
     }

@@ -152,32 +152,6 @@ pub fn run_backend_with_stages(
     run_backend_with_stages_in(&mut arena, region, binding, backend, config, energy, stages)
 }
 
-/// Like [`run_backend`], but reuses the simulation state pooled in
-/// `arena` (see [`SimArena`]); results are identical for any arena
-/// history. The sweep harness holds one arena per worker thread.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_backend_in(
-    arena: &mut SimArena,
-    region: &Region,
-    binding: &Binding,
-    backend: Backend,
-    config: &SimConfig,
-    energy: &EnergyModel,
-) -> Result<ExperimentRun, SimError> {
-    run_backend_with_stages_in(
-        arena,
-        region,
-        binding,
-        backend,
-        config,
-        energy,
-        StageConfig::full(),
-    )
-}
-
 /// Arena-reusing variant of [`run_backend_with_stages`].
 ///
 /// # Errors

@@ -70,7 +70,9 @@ impl PolicyMut<'_> {
 /// A reusable per-worker simulation arena.
 ///
 /// Hold one per thread and pass it to
-/// [`simulate_in`](super::simulate_in) (or the driver's `_in` variants);
+/// [`simulate_in`](super::simulate_in),
+/// [`run_backend_compiled_in`](crate::run_backend_compiled_in) or
+/// [`run_backend_with_stages_in`](crate::run_backend_with_stages_in);
 /// each run resets the pooled state instead of reallocating it. Dropping
 /// the arena releases everything.
 #[derive(Default)]

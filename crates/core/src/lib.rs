@@ -54,8 +54,8 @@ pub use analytic::DecentralizedModel;
 pub use config::{Backend, CancelToken, SimConfig, WatchdogConfig};
 pub use driver::{
     compile_for_backend, pct_slowdown, run_all_backends, run_backend, run_backend_compiled_in,
-    run_backend_in, run_backend_observed_in, run_backend_with_stages, run_backend_with_stages_in,
-    CompiledRegion, ExperimentRun,
+    run_backend_observed_in, run_backend_with_stages, run_backend_with_stages_in, CompiledRegion,
+    ExperimentRun,
 };
 pub use energy::{EnergyBreakdown, EnergyModel, EventCounts};
 pub use engine::{

@@ -22,17 +22,17 @@
 //!   fault, even a panic — records its [`RunStatus`] in its slot of the
 //!   report and the remaining runs proceed untouched;
 //! * transient failures (panic, deadlock, error) are retried up to the
-//!   configured [`RetryPolicy`] budget, each attempt under a seed derived
-//!   deterministically from the run's content key
+//!   configured [`SweepConfig::max_retries`] budget, each attempt under a
+//!   seed derived deterministically from the run's content key
 //!   ([`journal::derive_seed`] — no wall-clock), with every attempt
 //!   recorded in the report;
 //! * a run that still panics once its attempt budget is exhausted is
 //!   elevated to [`RunStatus::Quarantined`] rather than poisoning the
 //!   sweep;
 //! * a panic that escapes the per-run boundary (job setup, the reference
-//!   executor) kills only its worker thread; the supervisor respawns
-//!   workers and, after [`SweepConfig::quarantine_after`] such strikes,
-//!   quarantines the offending job wholesale.
+//!   executor) is caught by the worker that ran the job: the job's cells
+//!   are quarantined the first time, nothing is journaled for them, and
+//!   the worker resets its arena and claims the next job.
 //!
 //! Crash-recovery contract: when a durable [`journal::Journal`] is
 //! attached ([`run_sweep_journaled`]), every completed cell is fsynced to
@@ -75,20 +75,18 @@ pub mod journal;
 
 use crate::config::{Backend, SimConfig};
 use crate::driver::{compile_for_backend, run_backend_compiled_in, CompiledRegion, ExperimentRun};
-use crate::energy::EnergyModel;
-use crate::engine::SimArena;
+use crate::energy::{EnergyBreakdown, EnergyModel, EventCounts};
+use crate::engine::{SimArena, StallCounts};
 use crate::error::SimError;
 use crate::fault::FaultPlan;
-use crate::json::JsonWriter;
+use crate::json::{Json, JsonWriter};
 use crate::reference::{self, ReferenceResult};
-use journal::{Attempt, Journal, OutcomeRecord, RunKey, RunMetrics, RunRecord};
-use nachos_alias::StageConfig;
+use journal::{Attempt, Journal, RunKey, RunMetrics, RunRecord};
+use nachos_alias::{OptStats, StageConfig};
 use nachos_ir::{Binding, Region};
-use nachos_mem::DataMemory;
-use std::collections::HashMap;
+use nachos_mem::{CacheStats, DataMemory};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::{fmt, thread};
 
 /// One unit of sweep work: a compiled-from region with its address binding.
@@ -187,28 +185,6 @@ impl SweepVariant {
     }
 }
 
-/// Bounded deterministic retry policy for transient run failures.
-///
-/// A transient status ([`RunStatus::is_transient`]: panic, deadlock,
-/// error) is retried until it either resolves or the attempt budget of
-/// `max_retries + 1` total attempts is exhausted. Each attempt runs under
-/// a seed derived from the run's content key and the attempt index
-/// ([`journal::derive_seed`]) — never from the wall clock — so the
-/// attempt log in the report is byte-deterministic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first (default `0`: no retries).
-    pub max_retries: u32,
-}
-
-impl RetryPolicy {
-    /// A policy allowing `max_retries` extra attempts.
-    #[must_use]
-    pub fn retries(max_retries: u32) -> Self {
-        Self { max_retries }
-    }
-}
-
 /// Sweep-wide configuration.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
@@ -220,13 +196,12 @@ pub struct SweepConfig {
     pub variants: Vec<SweepVariant>,
     /// Worker threads; `0` uses the machine's available parallelism.
     pub threads: usize,
-    /// Retry policy for transient per-run failures.
-    pub retry: RetryPolicy,
-    /// Worker-kill strikes before a job is quarantined wholesale: a panic
-    /// that escapes the per-run boundary retires its worker thread, and a
-    /// job that does so this many times stops being rescheduled (`0` is
-    /// treated as `1`). Default `3`.
-    pub quarantine_after: u32,
+    /// Extra attempts after the first for a transient per-run failure
+    /// ([`RunStatus::is_transient`]); default `0`, no retries. Each
+    /// attempt runs under a seed derived from the run's content key and
+    /// the attempt index ([`journal::derive_seed`]), never from the wall
+    /// clock, so the attempt log in the report is byte-deterministic.
+    pub max_retries: u32,
 }
 
 impl Default for SweepConfig {
@@ -236,8 +211,7 @@ impl Default for SweepConfig {
             energy: EnergyModel::default(),
             variants: SweepVariant::paper_matrix(),
             threads: 0,
-            retry: RetryPolicy::default(),
-            quarantine_after: 3,
+            max_retries: 0,
         }
     }
 }
@@ -267,7 +241,7 @@ impl SweepConfig {
     /// Sets the transient-failure retry budget, builder-style.
     #[must_use]
     pub fn with_retries(mut self, max_retries: u32) -> Self {
-        self.retry = RetryPolicy::retries(max_retries);
+        self.max_retries = max_retries;
         self
     }
 
@@ -308,10 +282,10 @@ pub enum RunStatus {
     Panic,
     /// Any other structured [`SimError`] outside fault injection.
     Error,
-    /// The run (or its whole job) kept killing workers: it panicked on
-    /// every attempt of an exhausted retry budget, or its job-level setup
-    /// panicked [`SweepConfig::quarantine_after`] times. The run is
-    /// parked so the rest of the sweep completes.
+    /// The run panicked on every attempt of an exhausted retry budget, or
+    /// its job's setup (the reference executor) panicked, so none of the
+    /// job's cells could run. The run is parked so the rest of the sweep
+    /// completes.
     Quarantined,
     /// The run was stopped through its [`crate::CancelToken`]. Cancelled
     /// runs are never journaled: resuming re-executes them.
@@ -363,7 +337,7 @@ impl RunStatus {
         )
     }
 
-    /// `true` for statuses the [`RetryPolicy`] treats as retryable.
+    /// `true` for statuses retried under [`SweepConfig::max_retries`].
     /// Differential verdicts (`ok`/`mismatch`/`fault_detected`) are
     /// deterministic conclusions, quarantine is final, and cancellation
     /// is a user decision — none of those are retried.
@@ -442,33 +416,6 @@ impl VariantOutcome {
     #[must_use]
     pub fn injected(&self) -> &[String] {
         &self.injected
-    }
-
-    /// The journal form of this outcome.
-    fn to_record(&self) -> OutcomeRecord {
-        OutcomeRecord {
-            status: self.status,
-            detail: self.detail.clone(),
-            injected: self.injected.clone(),
-            attempts: self.attempts.clone(),
-            metrics: self.metrics,
-        }
-    }
-
-    /// Reconstructs an outcome from a journal record; the report bytes it
-    /// produces are identical to the live run's.
-    fn from_record(v: &SweepVariant, rec: OutcomeRecord) -> VariantOutcome {
-        VariantOutcome {
-            variant: v.label.clone(),
-            backend: v.backend,
-            status: rec.status,
-            run: None,
-            error: None,
-            detail: rec.detail,
-            injected: rec.injected,
-            attempts: rec.attempts,
-            metrics: rec.metrics,
-        }
     }
 }
 
@@ -558,36 +505,19 @@ pub fn run_sweep_journaled(
         cache,
         ..Supervisor::default()
     };
-    let mut slots: Vec<(usize, JobOutcome)> = Vec::with_capacity(jobs.len());
-    thread::scope(|s| {
-        // Supervision loop: spawn a round of workers, join them, and
-        // respawn as long as a retired (panic-killed) worker left work
-        // behind. A worker retires on every job-level panic, so each
-        // round makes progress: the strike count of some job grows until
-        // it either succeeds or is quarantined.
-        loop {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let sup = &sup;
-                    s.spawn(move || worker(jobs, cfg, sup))
-                })
-                .collect();
-            let mut any_retired = false;
-            for h in handles {
-                match h.join() {
-                    Ok((part, retired)) => {
-                        slots.extend(part);
-                        any_retired |= retired;
-                    }
-                    // Unreachable in practice (workers catch job-level
-                    // panics), kept as a backstop.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            if !any_retired || !sup.work_left(jobs.len()) {
-                break;
-            }
-        }
+    let mut slots: Vec<(usize, JobOutcome)> = thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let sup = &sup;
+                s.spawn(move || worker(jobs, cfg, sup))
+            })
+            .collect();
+        handles
+            .into_iter()
+            // Workers catch every panic a job raises, so a join error is
+            // unreachable in practice; re-raise it rather than lose a job.
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
     slots.sort_by_key(|(i, _)| *i);
     let count = |c: &AtomicUsize| c.load(Ordering::Relaxed);
@@ -613,14 +543,11 @@ fn effective_threads(requested: usize, jobs: usize) -> usize {
     n.clamp(1, jobs.max(1))
 }
 
-/// Shared orchestration state: the claim counter, the requeue list for
-/// jobs whose worker died, per-job strike counts, the durable stores and
+/// Shared orchestration state: the claim counter, the durable stores and
 /// the stats counters.
 #[derive(Default)]
 struct Supervisor<'a> {
     next: AtomicUsize,
-    requeued: Mutex<Vec<usize>>,
-    strikes: Mutex<HashMap<usize, u32>>,
     journal: Option<&'a Journal>,
     cache: Option<&'a Journal>,
     replayed: AtomicUsize,
@@ -634,7 +561,7 @@ struct Supervisor<'a> {
 impl<'a> Supervisor<'a> {
     /// The recorded outcome for `key`: the campaign journal first, then
     /// the cache, which serves settled outcomes only.
-    fn replay(&self, key: RunKey) -> Option<&'a OutcomeRecord> {
+    fn replay(&self, key: RunKey) -> Option<&'a VariantOutcome> {
         if let Some(rec) = self.journal.and_then(|j| j.lookup(key)) {
             self.replayed.fetch_add(1, Ordering::Relaxed);
             return Some(rec);
@@ -654,18 +581,20 @@ impl<'a> Supervisor<'a> {
 
     /// Durably records a cell this process executed: into the campaign
     /// journal unless it was cancelled (a resume re-executes it in full),
-    /// and into the cache when it settled.
-    fn record(&self, job: &SweepJob, v: &SweepVariant, key: RunKey, out: &VariantOutcome) {
+    /// and into the cache when it settled. A record is the cell as the
+    /// report shows it, so the live run and error stay out of it and are
+    /// handed back with the outcome.
+    fn record(&self, job: &SweepJob, key: RunKey, mut out: VariantOutcome) -> VariantOutcome {
         let journal = self.journal.filter(|_| out.status != RunStatus::Cancelled);
         let cache = self.cache.filter(|_| out.status.is_settled());
         if journal.is_none() && cache.is_none() {
-            return;
+            return out;
         }
+        let (run, error) = (out.run.take(), out.error.take());
         let rec = RunRecord {
             key,
             job: job.name.clone(),
-            variant: v.label.clone(),
-            outcome: out.to_record(),
+            outcome: out,
         };
         if let Some(j) = journal {
             if j.append(&rec).is_err() {
@@ -679,87 +608,48 @@ impl<'a> Supervisor<'a> {
             };
             counter.fetch_add(1, Ordering::Relaxed);
         }
+        VariantOutcome {
+            run,
+            error,
+            ..rec.outcome
+        }
     }
 
-    /// Claims the next job index: requeued strikes first, then the shared
-    /// counter. Claim order does not affect the report (results are
-    /// reassembled in job order and every outcome is deterministic).
+    /// Claims the next job index. Claim order does not affect the report
+    /// (results are reassembled in job order and every outcome is
+    /// deterministic).
     fn claim(&self, total: usize) -> Option<usize> {
-        if let Ok(mut q) = self.requeued.lock() {
-            if let Some(i) = q.pop() {
-                return Some(i);
-            }
-        }
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         (i < total).then_some(i)
     }
-
-    /// Records a worker-kill strike against job `i`, returning the new
-    /// strike count.
-    fn strike(&self, i: usize) -> u32 {
-        match self.strikes.lock() {
-            Ok(mut map) => {
-                let n = map.entry(i).or_insert(0);
-                *n += 1;
-                *n
-            }
-            // A poisoned strike map means another worker panicked while
-            // holding it, which cannot happen (the critical section is
-            // panic-free); quarantine immediately as a safe fallback.
-            Err(_) => u32::MAX,
-        }
-    }
-
-    fn requeue(&self, i: usize) {
-        if let Ok(mut q) = self.requeued.lock() {
-            q.push(i);
-        }
-    }
-
-    fn work_left(&self, total: usize) -> bool {
-        let requeued = self.requeued.lock().map(|q| !q.is_empty()).unwrap_or(false);
-        requeued || self.next.load(Ordering::Relaxed) < total
-    }
 }
 
-/// One worker thread: claims jobs until none remain or a job-level panic
-/// retires it. Returns its completed slots and whether it retired.
-fn worker(
-    jobs: &[SweepJob],
-    cfg: &SweepConfig,
-    sup: &Supervisor<'_>,
-) -> (Vec<(usize, JobOutcome)>, bool) {
+/// One worker thread: claims jobs until none remain and returns its
+/// completed slots.
+fn worker(jobs: &[SweepJob], cfg: &SweepConfig, sup: &Supervisor<'_>) -> Vec<(usize, JobOutcome)> {
     let mut mine = Vec::new();
     // One arena per worker: simulation state is built once and reset
     // between runs instead of reallocated.
     let mut arena = SimArena::new();
-    let mut retired = false;
     while let Some(i) = sup.claim(jobs.len()) {
         let job = &jobs[i];
-        let caught = catch_unwind(AssertUnwindSafe(|| run_job(job, cfg, &mut arena, sup)));
-        match caught {
-            Ok(outcome) => mine.push((i, outcome)),
-            Err(payload) => {
-                // A panic escaped the per-run boundary (job setup or the
-                // reference executor). This worker's arena state is
-                // suspect and, in a real deployment, the thread itself
-                // may be — retire it and let the supervisor respawn.
-                let msg = panic_message(payload.as_ref());
-                let strikes = sup.strike(i);
-                if strikes >= cfg.quarantine_after.max(1) {
-                    let detail =
-                        format!("quarantined: job-level panic killed {strikes} workers: {msg}");
-                    let outcome = unrun_job(job, cfg, RunStatus::Quarantined, &detail, None);
-                    mine.push((i, outcome));
-                } else {
-                    sup.requeue(i);
-                }
-                retired = true;
-                break;
-            }
-        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_job(job, cfg, &mut arena, sup)))
+            .unwrap_or_else(|payload| {
+                // A panic escaped the per-run boundary: job setup or the
+                // reference executor, both deterministic in the job's
+                // inputs, so running the job again would only panic
+                // again. Quarantine it and start the next job from a fresh
+                // arena.
+                arena = SimArena::new();
+                let detail = format!(
+                    "quarantined: job-level panic: {}",
+                    panic_message(payload.as_ref())
+                );
+                unrun_job(job, cfg, RunStatus::Quarantined, &detail, None)
+            });
+        mine.push((i, outcome));
     }
-    (mine, retired)
+    mine
 }
 
 /// The outcome of a job whose reference execution never completed, so
@@ -784,7 +674,7 @@ fn unrun_job(
         .map(|v| {
             let key = journal::run_key(fp, v);
             if let Some(rec) = replay.and_then(|sup| sup.replay(key)) {
-                return VariantOutcome::from_record(v, rec.clone());
+                return rec.clone();
             }
             VariantOutcome {
                 variant: v.label.clone(),
@@ -856,7 +746,7 @@ fn run_job(
         .map(|v| {
             let key = journal::run_key(fp, v);
             if let Some(rec) = sup.replay(key) {
-                return VariantOutcome::from_record(v, rec.clone());
+                return rec.clone();
             }
             let out = run_cell(
                 job,
@@ -867,11 +757,10 @@ fn run_job(
                 arena,
                 &mut compiles,
                 key,
-                cfg.retry,
+                cfg.max_retries,
             );
             sup.executed.fetch_add(1, Ordering::Relaxed);
-            sup.record(job, v, key, &out);
-            out
+            sup.record(job, key, out)
         })
         .collect();
     JobOutcome {
@@ -895,9 +784,9 @@ fn run_cell(
     arena: &mut SimArena,
     compiles: &mut CompileCache,
     key: RunKey,
-    retry: RetryPolicy,
+    max_retries: u32,
 ) -> VariantOutcome {
-    let budget = retry.max_retries.saturating_add(1);
+    let budget = max_retries.saturating_add(1);
     let mut attempts: Vec<Attempt> = Vec::new();
     loop {
         let seed = journal::derive_seed(key, attempts.len() as u32);
@@ -1159,7 +1048,12 @@ impl JobOutcome {
 }
 
 impl VariantOutcome {
-    fn write_json(&self, w: &mut JsonWriter) {
+    /// Writes this run's report object, the one on-disk form of a cell:
+    /// the report lists it under `runs` and a journal line carries it as
+    /// `run` ([`RunRecord`]). The derived fields — `matches_reference`,
+    /// `attempts`, both `total`s and `edges_removed` — are recomputed
+    /// here, never read back.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         w.open_obj();
         w.str_field("variant", &self.variant);
         w.str_field("backend", &self.backend.to_string());
@@ -1239,33 +1133,148 @@ impl VariantOutcome {
             w.f64_field("total", en.total());
             w.close_obj();
         }
-        w.key("l1");
-        cache_json(w, m.l1.hits, m.l1.misses, m.l1.writebacks);
-        w.key("llc");
-        cache_json(w, m.llc.hits, m.llc.misses, m.llc.writebacks);
+        for (name, c) in [("l1", &m.l1), ("llc", &m.llc)] {
+            w.key(name);
+            w.open_obj();
+            w.u64_field("hits", c.hits);
+            w.u64_field("misses", c.misses);
+            w.u64_field("writebacks", c.writebacks);
+            w.close_obj();
+        }
         w.u64_field("comparator_sites", m.comparator_sites);
         if let Some(o) = &m.opt {
             w.key("opt");
             w.open_obj();
-            w.u64_field("order_before", o.order_before);
-            w.u64_field("may_before", o.may_before);
-            w.u64_field("order_removed", o.order_removed);
-            w.u64_field("may_coalesced", o.may_coalesced);
-            w.u64_field("may_upgraded", o.may_upgraded);
-            w.u64_field("may_upgraded_edges", o.may_upgraded_edges);
-            w.u64_field("edges_removed", o.edges_removed());
+            w.u64_field("order_before", o.order_before as u64);
+            w.u64_field("may_before", o.may_before as u64);
+            w.u64_field("order_removed", o.order_removed as u64);
+            w.u64_field("may_coalesced", o.may_coalesced as u64);
+            w.u64_field("may_upgraded", o.may_upgraded as u64);
+            w.u64_field("may_upgraded_edges", o.may_upgraded_edges as u64);
+            w.u64_field("edges_removed", o.edges_removed() as u64);
             w.close_obj();
         }
         w.close_obj();
     }
-}
 
-fn cache_json(w: &mut JsonWriter, hits: u64, misses: u64, writebacks: u64) {
-    w.open_obj();
-    w.u64_field("hits", hits);
-    w.u64_field("misses", misses);
-    w.u64_field("writebacks", writebacks);
-    w.close_obj();
+    /// Reads back a run object written by [`Self::write_json`]: the one
+    /// cell reader, behind journal replay. The object leaves out a lone
+    /// attempt's seed, which is always [`journal::derive_seed`]`(key, 0)`,
+    /// so `key` rebuilds it. `None` for any object the writer could not
+    /// have produced, such as an `attempts` count that disagrees with the
+    /// `attempt_log`.
+    pub(crate) fn from_json(v: &Json, key: RunKey) -> Option<VariantOutcome> {
+        let u = |o: &Json, k: &str| o.get(k)?.as_u64();
+        let n = |o: &Json, k: &str| usize::try_from(u(o, k)?).ok();
+        let f = |o: &Json, k: &str| o.get(k)?.as_f64();
+        let status_of = |o: &Json| RunStatus::from_label(o.get("status")?.as_str()?);
+        let attempt = |a: &Json| {
+            let (status, seed) = (status_of(a)?, u(a, "seed")?);
+            Some(Attempt { status, seed })
+        };
+        let strings = |a: &Json| -> Option<Vec<String>> {
+            a.as_arr()?
+                .iter()
+                .map(|s| Some(s.as_str()?.to_owned()))
+                .collect()
+        };
+        let status = status_of(v)?;
+        let attempts = match v.get("attempt_log") {
+            None => {
+                let seed = journal::derive_seed(key, 0);
+                vec![Attempt { status, seed }]
+            }
+            Some(log) => log.as_arr()?.iter().map(attempt).collect::<Option<_>>()?,
+        };
+        // The writer logs only retried cells and counts every attempt.
+        let logged = v.get("attempt_log").is_some();
+        if u(v, "attempts")? != attempts.len() as u64 || logged != (attempts.len() > 1) {
+            return None;
+        }
+        let backend = v.get("backend")?.as_str()?;
+        let backend = Backend::ALL
+            .into_iter()
+            .chain([Backend::Ideal])
+            .find(|b| b.to_string() == backend)?;
+        let detail = match v.get("detail") {
+            Some(d) => Some(d.as_str()?.to_owned()),
+            None => None,
+        };
+        let injected = v.get("injected").map_or(Some(Vec::new()), strings)?;
+        let metrics = if v.get("cycles").is_some() {
+            let (s, e, en) = (v.get("stalls")?, v.get("events")?, v.get("energy_fj")?);
+            let cache = |k: &str| {
+                let c = v.get(k)?;
+                Some(CacheStats {
+                    hits: u(c, "hits")?,
+                    misses: u(c, "misses")?,
+                    writebacks: u(c, "writebacks")?,
+                })
+            };
+            let opt = match v.get("opt") {
+                Some(o) => Some(OptStats {
+                    order_before: n(o, "order_before")?,
+                    may_before: n(o, "may_before")?,
+                    order_removed: n(o, "order_removed")?,
+                    may_coalesced: n(o, "may_coalesced")?,
+                    may_upgraded: n(o, "may_upgraded")?,
+                    may_upgraded_edges: n(o, "may_upgraded_edges")?,
+                }),
+                None => None,
+            };
+            Some(RunMetrics {
+                cycles: u(v, "cycles")?,
+                stalls: StallCounts {
+                    lsq_alloc: u(s, "lsq_alloc")?,
+                    lsq_search: u(s, "lsq_search")?,
+                    token: u(s, "token")?,
+                    may_gate: u(s, "may_gate")?,
+                    comparator: u(s, "comparator")?,
+                    mem_port: u(s, "mem_port")?,
+                },
+                events: EventCounts {
+                    int_ops: u(e, "int_ops")?,
+                    fp_ops: u(e, "fp_ops")?,
+                    data_links: u(e, "data_links")?,
+                    mem_links: u(e, "mem_links")?,
+                    may_checks: u(e, "may_checks")?,
+                    must_tokens: u(e, "must_tokens")?,
+                    l1_accesses: u(e, "l1_accesses")?,
+                    lsq_allocs: u(e, "lsq_allocs")?,
+                    lsq_bank_overflows: u(e, "lsq_bank_overflows")?,
+                    lsq_bloom_queries: u(e, "lsq_bloom_queries")?,
+                    lsq_bloom_hits: u(e, "lsq_bloom_hits")?,
+                    lsq_cam_loads: u(e, "lsq_cam_loads")?,
+                    lsq_cam_stores: u(e, "lsq_cam_stores")?,
+                    forwards: u(e, "forwards")?,
+                },
+                energy: EnergyBreakdown {
+                    compute: f(en, "compute")?,
+                    mde: f(en, "mde")?,
+                    lsq_bloom: f(en, "lsq_bloom")?,
+                    lsq_cam: f(en, "lsq_cam")?,
+                    l1: f(en, "l1")?,
+                },
+                l1: cache("l1")?,
+                llc: cache("llc")?,
+                comparator_sites: u(v, "comparator_sites")?,
+                opt,
+            })
+        } else {
+            None
+        };
+        Some(VariantOutcome {
+            variant: v.get("variant")?.as_str()?.to_owned(),
+            backend,
+            status,
+            run: None,
+            error: None,
+            detail,
+            injected,
+            attempts,
+            metrics,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1452,37 +1461,51 @@ mod tests {
     }
 
     #[test]
-    fn job_level_panic_retires_workers_and_quarantines_the_job() {
+    fn job_level_panic_quarantines_the_job() {
         // An empty binding makes the reference executor itself panic —
-        // outside the per-run boundary — so the job strikes out and is
-        // quarantined wholesale while its neighbours finish.
+        // outside the per-run boundary — so the job is quarantined
+        // wholesale the first time while its neighbours finish.
         let mut poison = demo_job("poison");
         poison.binding.base_addrs.clear();
+        let msg = catch_unwind(|| {
+            reference::execute_cancellable(&poison.region, &poison.binding, 2, None)
+        })
+        .map(|_| String::new())
+        .unwrap_or_else(|p| panic_message(p.as_ref()));
+        assert!(!msg.is_empty(), "the reference executor must panic");
         let jobs = [demo_job("a"), poison, demo_job("b")];
         let cfg = SweepConfig::default().with_invocations(2);
-        for threads in [1, 4] {
-            let sweep = run_sweep(&jobs, &cfg.clone().with_threads(threads));
-            assert_eq!(sweep.jobs.len(), 3, "every job reports");
-            let q = &sweep.jobs[1];
-            assert_eq!(q.name, "poison");
-            assert!(q.runs.iter().all(|r| r.status == RunStatus::Quarantined));
-            assert!(q.runs[0]
-                .detail
-                .as_deref()
-                .unwrap_or("")
-                .contains("job-level panic killed 3 workers"));
-            assert_eq!(q.reference.loads.digest(), (0, 0), "empty reference");
-            let ok_runs = sweep
-                .statuses()
-                .iter()
-                .filter(|(_, _, s)| *s == RunStatus::Ok)
-                .count();
-            assert_eq!(ok_runs, 6, "both healthy jobs fully complete");
-        }
-        // Byte-determinism holds across thread counts here too.
         let serial = run_sweep(&jobs, &cfg.clone().with_threads(1));
-        let wide = run_sweep(&jobs, &cfg.clone().with_threads(4));
-        assert_eq!(serial.to_json(), wide.to_json());
+        let q = &serial.jobs[1];
+        assert_eq!(q.name, "poison");
+        for r in &q.runs {
+            assert_eq!(r.status, RunStatus::Quarantined);
+            let detail = format!("quarantined: job-level panic: {msg}");
+            assert_eq!(r.detail.as_deref(), Some(&*detail));
+        }
+        assert_eq!(q.reference.loads.digest(), (0, 0), "empty reference");
+        assert_eq!(serial.mismatches().len(), 3, "healthy jobs complete");
+        let serial = serial.to_json();
+        // Journaled at 4 threads: the same report, nothing recorded for
+        // the poisoned job, and a resume re-quarantines it
+        // byte-identically at any thread count.
+        let dir = std::env::temp_dir().join("nachos-sweep-job-panic-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.jsonl");
+        let jrn = Journal::create(&path).unwrap();
+        let wide = cfg.clone().with_threads(4);
+        let (first, _) = run_sweep_journaled(&jobs, &wide, Some(&jrn), None);
+        assert_eq!(first.to_json(), serial);
+        drop(jrn);
+        for threads in [1, 4] {
+            let jrn = Journal::resume(&path).unwrap();
+            assert_eq!(jrn.replay_len(), 6, "only the healthy jobs' cells");
+            let cfg = cfg.clone().with_threads(threads);
+            let (resumed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn), None);
+            assert_eq!((stats.replayed, stats.executed), (6, 0));
+            assert_eq!(resumed.to_json(), serial);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

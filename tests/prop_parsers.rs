@@ -20,8 +20,9 @@ use std::time::{Duration, Instant};
 
 use nachos::json::{checksum_frame, checksum_unframe, parse_json, Json};
 use nachos::sweep::daemon::{Daemon, DaemonConfig, JobEvent, JobStatus, MatrixSpec};
-use nachos::sweep::journal::{Attempt, OutcomeRecord, RunKey, RunMetrics, RunRecord};
-use nachos::sweep::{journal::Journal, RunStatus};
+use nachos::sweep::journal::{derive_seed, Attempt, Journal, RunKey, RunMetrics, RunRecord};
+use nachos::sweep::{RunStatus, VariantOutcome};
+use nachos::Backend;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -37,16 +38,32 @@ fn scratch(what: &str) -> PathBuf {
     dir
 }
 
+/// A journal record; a quarantined one carries a two-attempt log.
 fn record(key: u64, status: RunStatus) -> RunRecord {
-    RunRecord {
-        key: RunKey(key),
-        job: "gzip".into(),
-        variant: "nachos".into(),
-        outcome: OutcomeRecord {
+    let key = RunKey(key);
+    let attempts = match status {
+        RunStatus::Quarantined => vec![RunStatus::Panic; 2],
+        _ => vec![status],
+    };
+    let attempts = (0..)
+        .zip(attempts)
+        .map(|(i, status)| Attempt {
             status,
+            seed: derive_seed(key, i),
+        })
+        .collect();
+    RunRecord {
+        key,
+        job: "gzip".into(),
+        outcome: VariantOutcome {
+            variant: "nachos".into(),
+            backend: Backend::Nachos,
+            status,
+            run: None,
+            error: None,
             detail: Some("stalled: node 4 waits on \"token\"\n".into()),
             injected: vec!["drop-token at cycle 3".into()],
-            attempts: vec![Attempt { status, seed: 7 }],
+            attempts,
             metrics: Some(RunMetrics {
                 cycles: 1234,
                 stalls: Default::default(),
@@ -193,7 +210,8 @@ proptest! {
             let _ = JobEvent::from_payload(&v);
         }
         if let Ok(rec) = RunRecord::parse_line(&text) {
-            prop_assert_eq!(RunRecord::parse_line(&rec.to_line()), Ok(rec));
+            let again = RunRecord::parse_line(&rec.to_line()).map(|r| r.to_line());
+            prop_assert_eq!(again, Ok(rec.to_line()));
         }
     }
 }
@@ -216,7 +234,11 @@ proptest! {
         j.append(&fresh).expect("append");
         drop(j);
         let j = Journal::resume(&path).expect("second resume");
-        prop_assert_eq!(j.lookup(fresh.key), Some(&fresh.outcome));
+        // Outcomes have no `PartialEq`: compare their serialized bytes.
+        let replayed = j.lookup(fresh.key).map(|o| {
+            RunRecord { outcome: o.clone(), ..fresh.clone() }.to_line()
+        });
+        prop_assert_eq!(replayed, Some(fresh.to_line()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

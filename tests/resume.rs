@@ -4,15 +4,17 @@
 //! cancellation — must resume from its durable journal and emit a report
 //! **byte-identical** to an uninterrupted run, retry attempt logs
 //! included. A job that panics on every attempt must be quarantined
-//! without poisoning the rest of the matrix. The same contract through
-//! the real binary — `kill -9` mid-sweep, then `--resume` — is pinned by
-//! `crates/bench/tests/sweep_cli.rs`.
+//! without poisoning the rest of the matrix. A journal line carries the
+//! report's own run object, so a cell has one format on disk. The same
+//! contract through the real binary — `kill -9` mid-sweep, then
+//! `--resume` — is pinned by `crates/bench/tests/sweep_cli.rs`.
 
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use nachos::sweep::journal::Journal;
+use nachos::json::{checksum_frame, checksum_unframe, parse_json, Json};
+use nachos::sweep::journal::{Journal, LineError, RunRecord};
 use nachos::sweep::{run_sweep, run_sweep_journaled, RunStatus, SweepConfig, SweepJob};
 use nachos::{Backend, FaultKind, FaultPlan, FaultSpec};
 use nachos_ir::{AffineExpr, Binding, IntOp, MemRef, RegionBuilder};
@@ -180,4 +182,67 @@ fn quarantined_poison_job_leaves_the_rest_of_the_sweep_intact() {
     // byte for byte, per-attempt seeds and all.
     let single = run_sweep(&jobs, &cfg.clone().with_threads(1));
     assert_eq!(single.to_json(), json);
+}
+
+/// One cell format: every journal line is framed `nachos-journal-v3`,
+/// and its `run` object parses equal to that cell's object in the report
+/// — for `ok` cells, multi-attempt `quarantined` cells (attempt log and
+/// all) and the optimizer's `opt` ledger. A `nachos-journal-v2` line is
+/// a foreign schema: unusable, skipped and counted (not as corruption),
+/// and its cell re-executes into the same report.
+#[test]
+fn journal_lines_are_report_cells_and_v2_lines_reexecute() {
+    let mut poison = job("fft-2d");
+    poison.fault = FaultPlan::single(FaultSpec::new(FaultKind::PanicOnEvent, 0));
+    let jobs = vec![job("gzip"), poison];
+    let cfg = SweepConfig::default()
+        .with_invocations(4)
+        .with_retries(2)
+        .with_optimize(true);
+    let path = tmp_path("one-format.jsonl");
+    let journal = Journal::create(&path).expect("create journal");
+    let (clean, _) = run_sweep_journaled(&jobs, &cfg, Some(&journal), None);
+    drop(journal);
+    let report = parse_json(&clean.to_json()).expect("report parses");
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    assert_eq!(lines.len(), jobs.len() * cfg.variants.len());
+    for line in &lines {
+        let rec = parse_json(checksum_unframe(line).expect("framed")).expect("payload parses");
+        assert_eq!(
+            rec.get("journal").and_then(Json::as_str),
+            Some("nachos-journal-v3")
+        );
+        let run = rec.get("run").expect("run object");
+        let cell = report
+            .get("jobs")
+            .and_then(Json::as_arr)
+            .into_iter()
+            .flatten()
+            .filter(|j| j.get("name") == rec.get("job"))
+            .flat_map(|j| j.get("runs").and_then(Json::as_arr).unwrap_or_default())
+            .find(|r| r.get("variant") == run.get("variant"))
+            .expect("the report has the journaled cell");
+        assert_eq!(run, cell);
+    }
+    for needle in ["\"status\": \"ok\"", "\"attempt_log\"", "\"opt\""] {
+        assert!(text.contains(needle), "the journal covers {needle}");
+    }
+    assert!(text.contains("\"status\": \"quarantined\""));
+
+    // Re-tag one record as v2 under a valid checksum. Its body would read
+    // fine, so only the schema tag keeps the reader from trusting it.
+    let payload = checksum_unframe(&lines[0]).expect("framed");
+    lines[0] = checksum_frame(&payload.replace("nachos-journal-v3", "nachos-journal-v2"));
+    assert_eq!(
+        RunRecord::parse_line(&lines[0]).err(),
+        Some(LineError::Unusable)
+    );
+    std::fs::write(&path, lines.join("\n") + "\n").expect("write journal");
+    let journal = Journal::resume(&path).expect("resume journal");
+    assert_eq!((journal.skipped(), journal.corrupt()), (1, 0));
+    let (resumed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&journal), None);
+    assert_eq!((stats.replayed, stats.executed), (lines.len() - 1, 1));
+    assert_eq!(resumed.to_json(), clean.to_json());
+    std::fs::remove_file(&path).ok();
 }
