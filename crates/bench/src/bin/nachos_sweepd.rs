@@ -32,10 +32,9 @@ use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 const USAGE: &str = "usage: nachos-sweepd --socket PATH --root DIR [--capacity N] \
-                     [--retry-after-ms MS] [--poll-ms MS]\n\
+                     [--retry-after-ms MS]\n\
        nachos-sweepd --ctl CMD --socket PATH [--job N] [--spec JSON]";
 
 const HELP: &str = "\
@@ -50,8 +49,6 @@ Server mode:
                        rejection with a retry_after_ms hint (default 16)
   --retry-after-ms MS  the backoff hint in queue_full rejections
                        (default 500)
-  --poll-ms MS         internal poll cadence; liveness only, never
-                       observable in journaled bytes (default 25)
 
 The server runs until a client sends drain (finish every admitted job,
 then exit 0) or shutdown (requeue the in-flight job durably, then exit
@@ -87,7 +84,6 @@ fn main() -> ExitCode {
     let mut root: Option<String> = None;
     let mut capacity = 16usize;
     let mut retry_after_ms = 500u64;
-    let mut poll_ms = 25u64;
     let mut ctl: Option<String> = None;
     let mut job: Option<u64> = None;
     let mut spec_json: Option<String> = None;
@@ -115,12 +111,6 @@ fn main() -> ExitCode {
                     ))
                 }
             },
-            "--poll-ms" => match value.parse() {
-                Ok(ms) => poll_ms = ms,
-                Err(_) => {
-                    return usage_error(&format!("--poll-ms takes milliseconds, got {value:?}"))
-                }
-            },
             "--ctl" => ctl = Some(value),
             "--job" => match value.parse() {
                 Ok(n) => job = Some(n),
@@ -144,20 +134,14 @@ fn main() -> ExitCode {
     let mut cfg = DaemonConfig::new(root, &socket);
     cfg.capacity = capacity;
     cfg.retry_after_ms = retry_after_ms;
-    cfg.poll = Duration::from_millis(poll_ms.max(1));
     let daemon = match Daemon::open(cfg, Arc::new(nachos_bench::matrix::resolve)) {
         Ok(d) => d,
         Err(e) => return environment_error(&format!("cannot open daemon state: {e}")),
     };
-    let snaps = daemon.list();
-    let queued = snaps
-        .iter()
-        .filter(|s| s.status == JobStatus::Queued)
-        .count();
     eprintln!(
         "nachos-sweepd: {} jobs recovered ({} queued, {} unreadable journal lines), serving on {}",
-        snaps.len(),
-        queued,
+        daemon.list().len(),
+        daemon.queued(),
         daemon.log_skipped(),
         socket,
     );
@@ -208,30 +192,32 @@ fn run_ctl(socket: &str, cmd: &str, job: Option<u64>, spec_json: Option<&str>) -
     if let Err(e) = out.write_all(request.as_bytes()) {
         return environment_error(&format!("cannot send request: {e}"));
     }
-    // `watch` streams one line per state change; everything else
-    // answers exactly once. Either way: relay every line, judge the
-    // last one.
-    let mut last = String::new();
-    loop {
+    // `watch` streams one line per state change until the job is
+    // terminal (the daemon keeps the connection open for the next
+    // request); everything else answers exactly once. Either way: relay
+    // every line, judge the last one.
+    let resp = loop {
         let mut line = String::new();
         match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                print!("{line}");
-                last = line;
-                if cmd != "watch" {
-                    break;
-                }
-            }
+            Ok(0) => return environment_error("daemon sent no parseable response"),
+            Ok(_) => print!("{line}"),
             Err(e) => return environment_error(&format!("connection lost: {e}")),
         }
-    }
-    let Some(resp) = parse_json(last.trim()) else {
-        return environment_error("daemon sent no parseable response");
+        let Some(resp) = parse_json(line.trim()) else {
+            return environment_error("daemon sent no parseable response");
+        };
+        let streaming = cmd == "watch"
+            && resp.get("ok") == Some(&Json::Bool(true))
+            && resp
+                .get("state")
+                .and_then(Json::as_str)
+                .and_then(JobStatus::from_label)
+                .is_some_and(|s| !s.is_terminal());
+        if !streaming {
+            break resp;
+        }
     };
-    let ok = resp
-        .get("ok")
-        .is_some_and(|v| matches!(v, Json::Bool(true)));
+    let ok = resp.get("ok") == Some(&Json::Bool(true));
     if cmd == "watch" && ok {
         // The stream's last state is the job's terminal state.
         match resp.get("state").and_then(Json::as_str) {

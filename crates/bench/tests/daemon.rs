@@ -302,6 +302,52 @@ fn one_shot_deadline_exits_4_and_leaves_a_resumable_journal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The daemon route of the deadline contract: a job whose
+/// `deadline_secs` expires inside the daemon settles as
+/// `deadline_exceeded`, and `--ctl watch` ends at that terminal line
+/// with exit 4 without waiting for an EOF (the daemon keeps the
+/// connection open for further requests).
+#[test]
+fn daemon_deadline_watch_exits_4() {
+    let dir = scratch("daemon-deadline");
+    let sock = dir.join("d.sock");
+    let mut daemon = spawn_daemon(&sock, &dir.join("state"), &[]);
+    wait_ready(&sock);
+    let ctl = |args: &[&str]| {
+        sweepd()
+            .args(["--socket", sock.to_str().unwrap(), "--ctl"])
+            .args(args)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn ctl")
+    };
+    let mut submit = ctl(&[
+        "submit",
+        "--spec",
+        "{\"invocations\": 200000000, \"filter\": \"gzip\", \"deadline_secs\": 1}",
+    ]);
+    let status = wait_within(&mut submit, Duration::from_secs(60), "ctl submit");
+    assert!(status.success(), "submit is acknowledged");
+    let mut watch = ctl(&["watch", "--job", "1"]);
+    let status = wait_within(&mut watch, Duration::from_secs(60), "ctl watch");
+    assert_eq!(status.code(), Some(4), "deadline_exceeded is exit 4");
+    let mut stdout = String::new();
+    std::io::Read::read_to_string(&mut watch.stdout.take().unwrap(), &mut stdout).unwrap();
+    assert!(
+        stdout.contains("\"wall-clock budget of 1s exhausted\""),
+        "structured detail: {stdout}"
+    );
+
+    let out = sweepd()
+        .args(["--ctl", "drain", "--socket", sock.to_str().unwrap()])
+        .output()
+        .expect("ctl drain");
+    assert!(out.status.success());
+    let status = wait_within(&mut daemon, Duration::from_secs(60), "drained daemon");
+    assert_eq!(status.code(), Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The exit-code table: each documented code, reached by exactly its
 /// one documented condition (0 and 3 are pinned by `sweep_cli.rs`, 2 by
 /// `exitcode.rs`'s classification tests, 4 above).
@@ -315,6 +361,14 @@ fn usage_and_environment_failures_use_distinct_codes() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1), "empty matrix is a usage error");
+    // (Control mode, so a regression that accepted the flag would fail
+    // to connect and exit 5 rather than start serving.)
+    let out = sweepd()
+        .args(["--ctl", "ping", "--socket", "/nonexistent-dir/d.sock"])
+        .args(["--poll-ms", "5"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "--poll-ms is not a flag");
 
     // 5: the environment fails — an unwritable journal...
     let out = sweep()

@@ -62,6 +62,20 @@
 //! exits 0. `shutdown` also closes admission but cancels the in-flight
 //! job cooperatively and *requeues it durably* — the daemon exits 0
 //! immediately with a journal a future restart resumes from.
+//!
+//! # Threads and wake-ups
+//!
+//! Three long-lived threads — the serve loop (blocking `accept`), the
+//! executor and the deadline watcher — plus one handler thread per
+//! connection. Nothing sleeps on a timer: every thread that waits for
+//! job state blocks on one condition variable paired with the state
+//! lock, signalled by every change another thread can wait on (submit,
+//! each transition, cancel, drain, shutdown, executor exit). The idle
+//! executor waits for a queued job, a drain or a shutdown; `watch`
+//! waits for its job's status to change; the deadline watcher waits no
+//! longer than the earliest armed deadline. When the executor exits it
+//! connects once to its own socket so the blocked `accept` returns and
+//! the serve loop ends.
 
 use super::journal::{recover_lines, Journal};
 use super::{run_sweep_journaled, SweepConfig, SweepJob};
@@ -72,8 +86,7 @@ use std::fs::{self, File};
 use std::io::{self, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -87,6 +100,10 @@ pub const JOBD_SCHEMA: &str = "nachos-jobd-v1";
 /// request beyond this is answered with `oversized_request` and the
 /// connection dropped — the server never buffers an unbounded line.
 pub const MAX_REQUEST_LEN: usize = 64 * 1024;
+
+/// Pause after a failed `accept` (e.g. out of file descriptors), so a
+/// persistent error does not spin the serve loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
 
 // ---------------------------------------------------------------------
 // The submitted matrix
@@ -483,21 +500,16 @@ pub struct DaemonConfig {
     pub capacity: usize,
     /// The backpressure hint returned with `queue_full` rejections.
     pub retry_after_ms: u64,
-    /// Internal poll cadence (accept loop, deadline checks, watch
-    /// streams). Liveness only; never observable in journaled bytes.
-    pub poll: Duration,
 }
 
 impl DaemonConfig {
-    /// A config with the default capacity (16), retry hint (500 ms)
-    /// and poll cadence (25 ms).
+    /// A config with the default capacity (16) and retry hint (500 ms).
     pub fn new(root: impl Into<PathBuf>, socket: impl Into<PathBuf>) -> Self {
         Self {
             root: root.into(),
             socket: socket.into(),
             capacity: 16,
             retry_after_ms: 500,
-            poll: Duration::from_millis(25),
         }
     }
 }
@@ -517,6 +529,46 @@ struct JobEntry {
     cancel: CancelToken,
     cancel_reason: Option<CancelReason>,
     deadline: Option<Instant>,
+}
+
+impl JobEntry {
+    /// A freshly admitted (or replayed) job: queued, nothing run yet.
+    fn new(spec: MatrixSpec) -> JobEntry {
+        JobEntry {
+            spec,
+            status: JobStatus::Queued,
+            detail: None,
+            mismatches: 0,
+            degraded: 0,
+            replayed: 0,
+            executed: 0,
+            cancel: CancelToken::new(),
+            cancel_reason: None,
+            deadline: None,
+        }
+    }
+
+    /// The field update of one `Transition` event, shared by live
+    /// transitions and journal replay. Legality is the caller's check
+    /// ([`movable`]).
+    fn apply(&mut self, to: JobStatus, detail: Option<String>, mismatches: u64, degraded: u64) {
+        self.status = to;
+        self.detail = detail;
+        self.mismatches = mismatches;
+        self.degraded = degraded;
+    }
+
+    fn snapshot(&self, id: u64) -> JobSnapshot {
+        JobSnapshot {
+            id,
+            status: self.status,
+            detail: self.detail.clone(),
+            mismatches: self.mismatches,
+            degraded: self.degraded,
+            replayed: self.replayed,
+            executed: self.executed,
+        }
+    }
 }
 
 /// A point-in-time copy of one job's observable state.
@@ -571,14 +623,42 @@ struct State {
     draining: bool,
     /// Executor must stop after requeueing the in-flight job.
     stopping: bool,
+    /// The executor has exited: the serve loop and the deadline watcher
+    /// follow it.
+    exited: bool,
+}
+
+impl State {
+    fn job(&self, id: u64) -> Option<&JobEntry> {
+        job_index(id).and_then(|i| self.jobs.get(i))
+    }
+
+    fn job_mut(&mut self, id: u64) -> Option<&mut JobEntry> {
+        job_index(id).and_then(|i| self.jobs.get_mut(i))
+    }
+
+    /// Jobs currently in `status`.
+    fn count(&self, status: JobStatus) -> usize {
+        self.jobs.iter().filter(|e| e.status == status).count()
+    }
+
+    /// The oldest queued job, which the executor runs next.
+    fn next_queued(&self) -> Option<u64> {
+        self.jobs
+            .iter()
+            .position(|e| e.status == JobStatus::Queued)
+            .map(|i| i as u64 + 1)
+    }
 }
 
 struct Shared {
     cfg: DaemonConfig,
     resolver: MatrixResolver,
     state: Mutex<State>,
-    executor_done: AtomicBool,
-    threads_done: AtomicBool,
+    /// Signalled on every change to `state` another thread may wait
+    /// for: submit, each transition, cancel, drain, shutdown and
+    /// executor exit.
+    wake: Condvar,
 }
 
 /// The job service. See the module docs for the protocol and the
@@ -596,10 +676,52 @@ impl Shared {
         // state is still consistent (transitions apply atomically under
         // the guard), so recover the guard rather than wedging every
         // client thread.
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks on `wake` while `waiting` holds.
+    fn wait_while<'a>(
+        &self,
+        st: MutexGuard<'a, State>,
+        waiting: impl FnMut(&mut State) -> bool,
+    ) -> MutexGuard<'a, State> {
+        self.wake
+            .wait_while(st, waiting)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Applies (and journals) one state-machine edge and wakes every
+    /// waiter. Returns `false` — changing nothing — when the edge is
+    /// illegal or the job unknown.
+    fn transition(
+        &self,
+        st: &mut State,
+        id: u64,
+        to: JobStatus,
+        detail: Option<String>,
+        mismatches: u64,
+        degraded: u64,
+    ) -> bool {
+        let Some(entry) = movable(&mut st.jobs, id, to) else {
+            return false;
+        };
+        let ev = JobEvent::Transition {
+            job: id,
+            to,
+            detail: detail.clone(),
+            mismatches,
+            degraded,
+        };
+        // Durability before visibility: the journal line lands (fsynced)
+        // before the in-memory state changes. If the append fails we still
+        // apply the edge — a daemon that cannot write its journal keeps
+        // serving, it just recovers less after the next crash.
+        if let Err(e) = st.log.append(&ev) {
+            eprintln!("job journal append failed: {e}");
         }
+        entry.apply(to, detail, mismatches, degraded);
+        self.wake.notify_all();
+        true
     }
 
     fn runs_path(&self, id: u64) -> PathBuf {
@@ -611,57 +733,15 @@ impl Shared {
     }
 }
 
-/// Applies (and journals) one state-machine edge. Returns `false` —
-/// changing nothing — when the edge is illegal or the job unknown.
-fn transition(
-    st: &mut State,
-    id: u64,
-    to: JobStatus,
-    detail: Option<String>,
-    mismatches: u64,
-    degraded: u64,
-) -> bool {
-    let Some(entry) = job_index(id).and_then(|i| st.jobs.get_mut(i)) else {
-        return false;
-    };
-    if !JobStatus::can_transition(entry.status, to) {
-        return false;
-    }
-    let ev = JobEvent::Transition {
-        job: id,
-        to,
-        detail: detail.clone(),
-        mismatches,
-        degraded,
-    };
-    // Durability before visibility: the journal line lands (fsynced)
-    // before the in-memory state changes. If the append fails we still
-    // apply the edge — a daemon that cannot write its journal keeps
-    // serving, it just recovers less after the next crash.
-    if let Err(e) = st.log.append(&ev) {
-        eprintln!("job journal append failed: {e}");
-    }
-    entry.status = to;
-    entry.detail = detail;
-    entry.mismatches = mismatches;
-    entry.degraded = degraded;
-    true
+/// The entry job `id` is, if it may legally move to `to`.
+fn movable(jobs: &mut [JobEntry], id: u64, to: JobStatus) -> Option<&mut JobEntry> {
+    job_index(id)
+        .and_then(|i| jobs.get_mut(i))
+        .filter(|e| JobStatus::can_transition(e.status, to))
 }
 
 fn job_index(id: u64) -> Option<usize> {
     (id >= 1).then(|| (id - 1) as usize)
-}
-
-fn snapshot_entry(id: u64, e: &JobEntry) -> JobSnapshot {
-    JobSnapshot {
-        id,
-        status: e.status,
-        detail: e.detail.clone(),
-        mismatches: e.mismatches,
-        degraded: e.degraded,
-        replayed: e.replayed,
-        executed: e.executed,
-    }
 }
 
 impl Daemon {
@@ -682,28 +762,18 @@ impl Daemon {
             log_skipped,
             draining: false,
             stopping: false,
+            exited: false,
         };
         for ev in events {
-            match ev {
+            let replayed = match ev {
                 JobEvent::Submitted { job, spec } => {
                     // Ids are assigned sequentially; a gap or repeat is
                     // journal damage — skip and count, like a bad line.
-                    if job == st.jobs.len() as u64 + 1 {
-                        st.jobs.push(JobEntry {
-                            spec,
-                            status: JobStatus::Queued,
-                            detail: None,
-                            mismatches: 0,
-                            degraded: 0,
-                            replayed: 0,
-                            executed: 0,
-                            cancel: CancelToken::new(),
-                            cancel_reason: None,
-                            deadline: None,
-                        });
-                    } else {
-                        st.log_skipped += 1;
+                    let next = job == st.jobs.len() as u64 + 1;
+                    if next {
+                        st.jobs.push(JobEntry::new(spec));
                     }
+                    next
                 }
                 JobEvent::Transition {
                     job,
@@ -711,49 +781,42 @@ impl Daemon {
                     detail,
                     mismatches,
                     degraded,
-                } => {
-                    let applied = job_index(job)
-                        .and_then(|i| st.jobs.get_mut(i))
-                        .filter(|e| JobStatus::can_transition(e.status, to))
-                        .map(|e| {
-                            e.status = to;
-                            e.detail = detail;
-                            e.mismatches = mismatches;
-                            e.degraded = degraded;
-                        });
-                    if applied.is_none() {
-                        st.log_skipped += 1;
+                } => match movable(&mut st.jobs, job, to) {
+                    Some(e) => {
+                        e.apply(to, detail, mismatches, degraded);
+                        true
                     }
-                }
+                    None => false,
+                },
+            };
+            if !replayed {
+                st.log_skipped += 1;
             }
         }
+        let shared = Shared {
+            cfg,
+            resolver,
+            state: Mutex::new(st),
+            wake: Condvar::new(),
+        };
         // Jobs the dead process left mid-run resume from their own run
         // journals; the requeue edge is journaled like any other.
-        let running: Vec<u64> = st
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.status == JobStatus::Running)
-            .map(|(i, _)| i as u64 + 1)
-            .collect();
-        for id in running {
-            transition(
-                &mut st,
-                id,
-                JobStatus::Queued,
-                Some("recovered after restart".to_owned()),
-                0,
-                0,
-            );
+        {
+            let mut st = shared.lock();
+            let running: Vec<u64> = st
+                .jobs
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.status == JobStatus::Running)
+                .map(|(i, _)| i as u64 + 1)
+                .collect();
+            for id in running {
+                let detail = Some("recovered after restart".to_owned());
+                shared.transition(&mut st, id, JobStatus::Queued, detail, 0, 0);
+            }
         }
         Ok(Daemon {
-            shared: Arc::new(Shared {
-                cfg,
-                resolver,
-                state: Mutex::new(st),
-                executor_done: AtomicBool::new(false),
-                threads_done: AtomicBool::new(false),
-            }),
+            shared: Arc::new(shared),
         })
     }
 
@@ -773,11 +836,7 @@ impl Daemon {
         if st.draining {
             return Err(SubmitError::Draining);
         }
-        let queued = st
-            .jobs
-            .iter()
-            .filter(|e| e.status == JobStatus::Queued)
-            .count();
+        let queued = st.count(JobStatus::Queued);
         if queued >= self.shared.cfg.capacity {
             return Err(SubmitError::QueueFull {
                 queued,
@@ -792,28 +851,15 @@ impl Daemon {
         if let Err(e) = st.log.append(&ev) {
             eprintln!("job journal append failed: {e}");
         }
-        st.jobs.push(JobEntry {
-            spec,
-            status: JobStatus::Queued,
-            detail: None,
-            mismatches: 0,
-            degraded: 0,
-            replayed: 0,
-            executed: 0,
-            cancel: CancelToken::new(),
-            cancel_reason: None,
-            deadline: None,
-        });
+        st.jobs.push(JobEntry::new(spec));
+        self.shared.wake.notify_all();
         Ok(id)
     }
 
     /// A point-in-time view of one job.
     #[must_use]
     pub fn snapshot(&self, id: u64) -> Option<JobSnapshot> {
-        let st = self.shared.lock();
-        job_index(id)
-            .and_then(|i| st.jobs.get(i))
-            .map(|e| snapshot_entry(id, e))
+        self.shared.lock().job(id).map(|e| e.snapshot(id))
     }
 
     /// Snapshots of every job, in submission order.
@@ -823,25 +869,30 @@ impl Daemon {
         st.jobs
             .iter()
             .enumerate()
-            .map(|(i, e)| snapshot_entry(i as u64 + 1, e))
+            .map(|(i, e)| e.snapshot(i as u64 + 1))
             .collect()
     }
 
     /// Jobs currently waiting in the admission queue.
     #[must_use]
     pub fn queued(&self) -> usize {
-        self.shared
-            .lock()
-            .jobs
-            .iter()
-            .filter(|e| e.status == JobStatus::Queued)
-            .count()
+        self.shared.lock().count(JobStatus::Queued)
     }
 
     /// Unreadable or inconsistent job-journal lines skipped at open.
     #[must_use]
     pub fn log_skipped(&self) -> usize {
         self.shared.lock().log_skipped
+    }
+
+    /// Blocks until job `id`'s status differs from `last`, then
+    /// snapshots it (`None` for an unknown job). With `last = None` it
+    /// returns at once.
+    fn next_change(&self, id: u64, last: Option<JobStatus>) -> Option<JobSnapshot> {
+        let st = self.shared.wait_while(self.shared.lock(), |st| {
+            st.job(id).is_some_and(|e| Some(e.status) == last)
+        });
+        st.job(id).map(|e| e.snapshot(id))
     }
 
     /// Cancels a job: queued jobs transition immediately; running jobs
@@ -854,12 +905,11 @@ impl Daemon {
     /// [`CancelError`] for unknown ids and already-terminal jobs.
     pub fn cancel(&self, id: u64) -> Result<JobStatus, CancelError> {
         let mut st = self.shared.lock();
-        let entry = job_index(id)
-            .and_then(|i| st.jobs.get_mut(i))
-            .ok_or(CancelError::Unknown)?;
+        let entry = st.job_mut(id).ok_or(CancelError::Unknown)?;
         match entry.status {
             JobStatus::Queued => {
-                transition(&mut st, id, JobStatus::Cancelled, None, 0, 0);
+                self.shared
+                    .transition(&mut st, id, JobStatus::Cancelled, None, 0, 0);
                 Ok(JobStatus::Cancelled)
             }
             JobStatus::Running => {
@@ -867,6 +917,7 @@ impl Daemon {
                     entry.cancel_reason = Some(CancelReason::Client);
                 }
                 entry.cancel.cancel();
+                self.shared.wake.notify_all();
                 Ok(JobStatus::Running)
             }
             terminal => Err(CancelError::AlreadyTerminal(terminal)),
@@ -877,6 +928,7 @@ impl Daemon {
     /// loop exits 0 once the queue is empty and nothing is running.
     pub fn drain(&self) {
         self.shared.lock().draining = true;
+        self.shared.wake.notify_all();
     }
 
     /// Closes admission, cooperatively cancels the in-flight job (it is
@@ -896,6 +948,7 @@ impl Daemon {
             }
             e.cancel.cancel();
         }
+        self.shared.wake.notify_all();
     }
 
     /// Reads a settled job's report from disk.
@@ -910,8 +963,8 @@ impl Daemon {
 
     /// Binds the socket and serves until drained or shut down: spawns
     /// the executor and deadline-watch threads, accepts clients on a
-    /// non-blocking listener (one handler thread per connection), and
-    /// returns once the executor has parked. A stale socket file from a
+    /// blocking listener (one handler thread per connection), and
+    /// returns once the executor has exited. A stale socket file from a
     /// killed predecessor is replaced.
     ///
     /// # Errors
@@ -921,7 +974,6 @@ impl Daemon {
     pub fn serve(&self) -> io::Result<()> {
         let _ = fs::remove_file(&self.shared.cfg.socket);
         let listener = UnixListener::bind(&self.shared.cfg.socket)?;
-        listener.set_nonblocking(true)?;
         let exec = {
             let shared = Arc::clone(&self.shared);
             thread::spawn(move || executor(&shared))
@@ -930,22 +982,20 @@ impl Daemon {
             let shared = Arc::clone(&self.shared);
             thread::spawn(move || deadline_watch(&shared))
         };
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
+        // The exiting executor connects once, so this loop always sees
+        // `exited` at its next accept.
+        for conn in listener.incoming() {
+            if self.shared.lock().exited {
+                break;
+            }
+            match conn {
+                Ok(stream) => {
                     let shared = Arc::clone(&self.shared);
                     thread::spawn(move || handle_client(&shared, stream));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.shared.executor_done.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    thread::sleep(self.shared.cfg.poll);
-                }
-                Err(_) => thread::sleep(self.shared.cfg.poll),
+                Err(_) => thread::sleep(ACCEPT_BACKOFF),
             }
         }
-        self.shared.threads_done.store(true, Ordering::SeqCst);
         let _ = exec.join();
         let _ = watch.join();
         let _ = fs::remove_file(&self.shared.cfg.socket);
@@ -958,37 +1008,21 @@ impl Daemon {
 // ---------------------------------------------------------------------
 
 fn executor(shared: &Arc<Shared>) {
-    enum Next {
-        Run(u64),
-        Sleep,
-        Exit,
-    }
     loop {
-        let next = {
-            let st = shared.lock();
-            if st.stopping {
-                Next::Exit
-            } else if let Some(id) = st
-                .jobs
-                .iter()
-                .position(|e| e.status == JobStatus::Queued)
-                .map(|i| i as u64 + 1)
-            {
-                Next::Run(id)
-            } else if st.draining {
-                // Drained: admission is closed and the queue is empty.
-                Next::Exit
-            } else {
-                Next::Sleep
-            }
-        };
-        match next {
-            Next::Exit => break,
-            Next::Sleep => thread::sleep(shared.cfg.poll),
-            Next::Run(id) => run_job(shared, id),
-        }
+        let st = shared.wait_while(shared.lock(), |st| {
+            st.next_queued().is_none() && !st.draining && !st.stopping
+        });
+        // Stopping leaves the queue to the next daemon; draining ends
+        // once admission is closed and the queue is empty.
+        let next = if st.stopping { None } else { st.next_queued() };
+        drop(st);
+        let Some(id) = next else { break };
+        run_job(shared, id);
     }
-    shared.executor_done.store(true, Ordering::SeqCst);
+    shared.lock().exited = true;
+    shared.wake.notify_all();
+    // Wake the serve loop's blocking accept.
+    let _ = UnixStream::connect(&shared.cfg.socket);
 }
 
 fn run_job(shared: &Arc<Shared>, id: u64) {
@@ -996,7 +1030,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     // the wall-clock deadline.
     let (spec, token) = {
         let mut st = shared.lock();
-        let Some(entry) = job_index(id).and_then(|i| st.jobs.get_mut(i)) else {
+        let Some(entry) = st.job_mut(id) else {
             return;
         };
         if entry.status != JobStatus::Queued {
@@ -1008,16 +1042,16 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             .then(|| Instant::now() + Duration::from_secs(entry.spec.deadline_secs));
         let spec = entry.spec.clone();
         let token = entry.cancel.clone();
-        transition(&mut st, id, JobStatus::Running, None, 0, 0);
+        shared.transition(&mut st, id, JobStatus::Running, None, 0, 0);
         (spec, token)
     };
 
     let quarantine = |detail: String| {
         let mut st = shared.lock();
-        if let Some(e) = job_index(id).and_then(|i| st.jobs.get_mut(i)) {
+        if let Some(e) = st.job_mut(id) {
             e.deadline = None;
         }
-        transition(&mut st, id, JobStatus::Quarantined, Some(detail), 0, 0);
+        shared.transition(&mut st, id, JobStatus::Quarantined, Some(detail), 0, 0);
     };
 
     // Phase 2 (no lock): resolve and run. The per-job run journal makes
@@ -1041,13 +1075,11 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     let cancelled = token.is_cancelled();
     let mut report = None;
     let (to, detail, mismatches, degraded) = if cancelled {
-        let reason = {
-            let st = shared.lock();
-            job_index(id)
-                .and_then(|i| st.jobs.get(i))
-                .and_then(|e| e.cancel_reason)
-                .unwrap_or(CancelReason::Client)
-        };
+        let reason = shared
+            .lock()
+            .job(id)
+            .and_then(|e| e.cancel_reason)
+            .unwrap_or(CancelReason::Client);
         match reason {
             CancelReason::Shutdown => (
                 JobStatus::Queued,
@@ -1077,31 +1109,48 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         }
     }
     let mut st = shared.lock();
-    if let Some(e) = job_index(id).and_then(|i| st.jobs.get_mut(i)) {
+    if let Some(e) = st.job_mut(id) {
         e.deadline = None;
         e.replayed = stats.replayed as u64;
         e.executed = stats.executed as u64;
     }
-    transition(&mut st, id, to, detail, mismatches, degraded);
+    shared.transition(&mut st, id, to, detail, mismatches, degraded);
 }
 
+/// Trips the token of every running job whose deadline has passed,
+/// then sleeps on `wake` until the earliest deadline still armed (or,
+/// with none armed, until the next state change).
 fn deadline_watch(shared: &Arc<Shared>) {
-    while !shared.threads_done.load(Ordering::SeqCst) {
-        thread::sleep(shared.cfg.poll);
+    let mut st = shared.lock();
+    while !st.exited {
         let now = Instant::now();
-        let mut st = shared.lock();
+        let mut earliest: Option<Instant> = None;
         for e in st
             .jobs
             .iter_mut()
-            .filter(|e| e.status == JobStatus::Running)
+            .filter(|e| e.status == JobStatus::Running && !e.cancel.is_cancelled())
         {
-            if e.deadline.is_some_and(|d| now >= d) && !e.cancel.is_cancelled() {
-                if e.cancel_reason.is_none() {
-                    e.cancel_reason = Some(CancelReason::Deadline);
+            match e.deadline {
+                Some(d) if now >= d => {
+                    if e.cancel_reason.is_none() {
+                        e.cancel_reason = Some(CancelReason::Deadline);
+                    }
+                    e.cancel.cancel();
                 }
-                e.cancel.cancel();
+                Some(d) => earliest = Some(earliest.map_or(d, |n| n.min(d))),
+                None => {}
             }
         }
+        st = match earliest {
+            Some(d) => {
+                shared
+                    .wake
+                    .wait_timeout(st, d - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+            None => shared.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
+        };
     }
 }
 
@@ -1256,21 +1305,20 @@ fn dispatch(shared: &Arc<Shared>, req: &Json, out: &mut UnixStream) -> io::Resul
                     None => unknown_job(id, out),
                 },
                 "watch" => {
+                    // One line per status change; the lock is released
+                    // before each write.
                     let mut last = None;
                     loop {
-                        let Some(snap) = daemon.snapshot(id) else {
+                        let Some(snap) = daemon.next_change(id, last) else {
                             return unknown_job(id, out);
                         };
-                        if last.as_ref() != Some(&snap.status) {
-                            last = Some(snap.status);
-                            let mut r = Response::new(true);
-                            snapshot_fields(&mut r, &snap);
-                            r.send(out)?;
-                        }
+                        last = Some(snap.status);
+                        let mut r = Response::new(true);
+                        snapshot_fields(&mut r, &snap);
+                        r.send(out)?;
                         if snap.status.is_terminal() {
                             return Ok(());
                         }
-                        thread::sleep(shared.cfg.poll);
                     }
                 }
                 "fetch" => {
@@ -1316,28 +1364,22 @@ fn dispatch(shared: &Arc<Shared>, req: &Json, out: &mut UnixStream) -> io::Resul
             }
         }
         "list" => {
-            let snaps = daemon.list();
-            let queued = snaps
-                .iter()
-                .filter(|s| s.status == JobStatus::Queued)
-                .count();
-            let running = snaps
-                .iter()
-                .filter(|s| s.status == JobStatus::Running)
-                .count();
             let mut r = Response::new(true);
-            r.w.u64_field("queued", queued as u64);
-            r.w.u64_field("running", running as u64);
-            r.w.u64_field("log_skipped", daemon.log_skipped() as u64);
-            r.w.key("entries");
-            r.w.open_arr();
-            for snap in &snaps {
-                r.w.open_obj();
-                r.w.u64_field("job", snap.id);
-                r.w.str_field("state", snap.status.as_str());
-                r.w.close_obj();
+            {
+                let st = shared.lock();
+                r.w.u64_field("queued", st.count(JobStatus::Queued) as u64);
+                r.w.u64_field("running", st.count(JobStatus::Running) as u64);
+                r.w.u64_field("log_skipped", st.log_skipped as u64);
+                r.w.key("entries");
+                r.w.open_arr();
+                for (i, e) in st.jobs.iter().enumerate() {
+                    r.w.open_obj();
+                    r.w.u64_field("job", i as u64 + 1);
+                    r.w.str_field("state", e.status.as_str());
+                    r.w.close_obj();
+                }
+                r.w.close_arr();
             }
-            r.w.close_arr();
             r.send(out)
         }
         "ping" => {
@@ -1347,18 +1389,23 @@ fn dispatch(shared: &Arc<Shared>, req: &Json, out: &mut UnixStream) -> io::Resul
             r.w.bool_field("draining", shared.lock().draining);
             r.send(out)
         }
+        // Answer drain and shutdown before acting on them: with nothing
+        // left to run the daemon exits at once, and an unsent answer
+        // would go with it.
         "drain" => {
-            daemon.drain();
             let mut r = Response::new(true);
             r.w.bool_field("draining", true);
             r.w.u64_field("queued", daemon.queued() as u64);
-            r.send(out)
+            let sent = r.send(out);
+            daemon.drain();
+            sent
         }
         "shutdown" => {
-            daemon.shutdown();
             let mut r = Response::new(true);
             r.w.bool_field("stopping", true);
-            r.send(out)
+            let sent = r.send(out);
+            daemon.shutdown();
+            sent
         }
         other => {
             let mut r = Response::err("bad_request");

@@ -291,8 +291,7 @@ fn exchange(sock: &Path, bytes: &[u8]) -> Vec<String> {
 fn daemon_answers_any_request_line() {
     let dir = scratch("serve");
     let sock = dir.join("d.sock");
-    let mut cfg = DaemonConfig::new(dir.join("state"), &sock);
-    cfg.poll = Duration::from_millis(1);
+    let cfg = DaemonConfig::new(dir.join("state"), &sock);
     let daemon = Daemon::open(cfg, rejecting_resolver()).expect("open");
     let server = std::thread::spawn(move || daemon.serve());
     let deadline = Instant::now() + Duration::from_secs(10);
