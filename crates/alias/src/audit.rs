@@ -37,6 +37,7 @@ use crate::afftest::{
     congruence_hits, delta_range, iteration_space, overlap_oracle, IvBox, Overlap,
 };
 use crate::classify::linearize;
+use crate::edgeset::EdgeSet;
 use crate::exact::{window_reachable, ExactBudget};
 use crate::matrix::{AliasLabel, AliasMatrix, Pair, PairKind};
 use crate::pipeline::{may_fanin, Analysis, StageConfig};
@@ -872,12 +873,15 @@ impl Lint for RaceLint {
             &region.dfg,
             &[EdgeKind::Data, EdgeKind::Order, EdgeKind::Forward],
         );
-        let has_edge = |s: NodeId, d: NodeId, kind: EdgeKind| {
-            region
-                .dfg
-                .out_edges(s)
-                .any(|e| e.dst == d && e.kind == kind)
-        };
+        // Built once per run from the DFG under audit: O(1) membership.
+        let edges = EdgeSet::of_dfg(&region.dfg);
+        let has_edge = |s: NodeId, d: NodeId, kind: EdgeKind| edges.contains(s, d, kind);
+        let coalesced = cx
+            .analysis
+            .opt
+            .as_ref()
+            .map(crate::optimize::OptOutcome::coalesced_pairs)
+            .unwrap_or_default();
 
         // A-E03: every surviving MUST/MAY pair needs an ordering chain.
         for (pair, _, label) in matrix.pairs() {
@@ -892,11 +896,7 @@ impl Lint for RaceLint {
                 AliasLabel::May => {
                     has_edge(s, d, EdgeKind::May)
                         || closure.reaches(s, d)
-                        || cx
-                            .analysis
-                            .opt
-                            .as_ref()
-                            .is_some_and(|o| o.coalesced_pair(s, d))
+                        || coalesced.contains(&(s, d))
                 }
                 AliasLabel::MustExact | AliasLabel::MustPartial => closure.reaches(s, d),
             };
@@ -1061,10 +1061,19 @@ impl Lint for RaceLint {
 /// [`Code::BadCertificate`] error — the driver refuses the region.
 pub struct CertLint;
 
+/// The ORDER and MAY edges of the plan and the edges of the DFG under
+/// audit, built once per `CertLint` run (never taken from the optimizer)
+/// so that each certificate's membership checks cost O(1).
+struct EdgeSets {
+    plan: EdgeSet,
+    dfg: EdgeSet,
+}
+
 impl CertLint {
     fn check_order_redundant(
         cx: &AuditCx<'_>,
         diags: &mut Vec<Diagnostic>,
+        sets: &EdgeSets,
         src: NodeId,
         dst: NodeId,
         witness: &[NodeId],
@@ -1073,13 +1082,8 @@ impl CertLint {
             older: src,
             younger: dst,
         };
-        let plan = &cx.analysis.plan;
-        let still_planned = plan.order.contains(&(src, dst));
-        let still_in_dfg = cx
-            .region
-            .dfg
-            .out_edges(src)
-            .any(|e| e.dst == dst && e.kind == EdgeKind::Order);
+        let still_planned = sets.plan.contains(src, dst, EdgeKind::Order);
+        let still_in_dfg = sets.dfg.contains(src, dst, EdgeKind::Order);
         if still_planned || still_in_dfg {
             diags.push(cx.diag(
                 Code::BadCertificate,
@@ -1102,6 +1106,7 @@ impl CertLint {
     fn check_may_coalesced(
         cx: &AuditCx<'_>,
         diags: &mut Vec<Diagnostic>,
+        sets: &EdgeSets,
         removed: (NodeId, NodeId),
         kept: (NodeId, NodeId),
         witness: &[NodeId],
@@ -1111,19 +1116,16 @@ impl CertLint {
             younger: removed.1,
         };
         let dfg = &cx.region.dfg;
-        let plan = &cx.analysis.plan;
-        let has_may = |(s, d): (NodeId, NodeId)| {
-            dfg.out_edges(s)
-                .any(|e| e.dst == d && e.kind == EdgeKind::May)
-        };
-        if plan.may.contains(&removed) || has_may(removed) {
+        let planned = |(s, d): (NodeId, NodeId)| sets.plan.contains(s, d, EdgeKind::May);
+        let has_may = |(s, d): (NodeId, NodeId)| sets.dfg.contains(s, d, EdgeKind::May);
+        if planned(removed) || has_may(removed) {
             diags.push(cx.diag(
                 Code::BadCertificate,
                 site,
                 "coalescing certificate for a MAY edge still present".to_owned(),
             ));
         }
-        if !plan.may.contains(&kept) || !has_may(kept) {
+        if !planned(kept) || !has_may(kept) {
             diags.push(cx.diag(
                 Code::BadCertificate,
                 site,
@@ -1262,11 +1264,20 @@ impl Lint for CertLint {
         };
         let mut diags = Vec::new();
         let mut counts = (0usize, 0usize, 0usize);
+        let dfg = &cx.region.dfg;
+        let mut plan = EdgeSet::of_pairs(dfg, &cx.analysis.plan.may, EdgeKind::May);
+        for &(s, d) in &cx.analysis.plan.order {
+            plan.insert(s, d, EdgeKind::Order);
+        }
+        let sets = EdgeSets {
+            plan,
+            dfg: EdgeSet::of_dfg(dfg),
+        };
         for cert in &opt.certs {
             match cert {
                 Certificate::OrderRedundant { src, dst, witness } => {
                     counts.0 += 1;
-                    Self::check_order_redundant(cx, &mut diags, *src, *dst, witness);
+                    Self::check_order_redundant(cx, &mut diags, &sets, *src, *dst, witness);
                 }
                 Certificate::MayCoalesced {
                     removed,
@@ -1274,7 +1285,7 @@ impl Lint for CertLint {
                     witness,
                 } => {
                     counts.1 += 1;
-                    Self::check_may_coalesced(cx, &mut diags, *removed, *kept, witness);
+                    Self::check_may_coalesced(cx, &mut diags, &sets, *removed, *kept, witness);
                 }
                 Certificate::MayUpgraded {
                     older,

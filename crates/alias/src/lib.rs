@@ -45,6 +45,7 @@
 pub mod afftest;
 pub mod audit;
 mod classify;
+mod edgeset;
 pub mod exact;
 mod local;
 mod matrix;

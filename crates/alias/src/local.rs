@@ -22,6 +22,10 @@ use nachos_ir::{MemSpace, Region};
 /// region's DFG. Returns the plan that was applied.
 pub fn wire_local_deps(region: &mut Region) -> MdePlan {
     let mut matrix = AliasMatrix::for_space(region, MemSpace::Scratchpad);
+    if matrix.num_ops() == 0 {
+        // No scratchpad accesses: nothing to label, plan or wire.
+        return MdePlan::default();
+    }
     let bx = IvBox::from_nest(&region.loops);
     let pairs: Vec<_> = matrix.pairs().map(|(p, _, _)| p).collect();
     for pair in pairs {

@@ -9,6 +9,7 @@
 //! compiler's alias verdicts.
 
 use nachos_ir::{AffineExpr, NodeId};
+use std::collections::HashSet;
 
 /// The arithmetic fact that proves a residual MAY pair disjoint in
 /// iteration-count space (see [`crate::afftest::iteration_space`]).
@@ -149,14 +150,18 @@ impl OptOutcome {
             .collect()
     }
 
-    /// `true` when some certificate coalesces exactly the MAY pair
-    /// `(src, dst)` — the audit's race lint exempts such pairs from the
-    /// ordering-chain requirement (the kept congruent edge orders them;
-    /// `CertLint` verifies that claim independently).
+    /// The MAY pairs some certificate coalesced away — the audit's race
+    /// lint exempts them from the ordering-chain requirement (the kept
+    /// congruent edge orders them; `CertLint` verifies that claim
+    /// independently).
     #[must_use]
-    pub fn coalesced_pair(&self, src: NodeId, dst: NodeId) -> bool {
-        self.certs.iter().any(
-            |c| matches!(c, Certificate::MayCoalesced { removed, .. } if *removed == (src, dst)),
-        )
+    pub fn coalesced_pairs(&self) -> HashSet<(NodeId, NodeId)> {
+        self.certs
+            .iter()
+            .filter_map(|c| match c {
+                Certificate::MayCoalesced { removed, .. } => Some(*removed),
+                _ => None,
+            })
+            .collect()
     }
 }

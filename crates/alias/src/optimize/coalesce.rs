@@ -24,49 +24,72 @@
 
 use super::cert::Certificate;
 use super::witness;
+use crate::edgeset::EdgeSet;
 use crate::reach::Reachability;
 use crate::stage3::MdePlan;
 use nachos_ir::{EdgeKind, MemRef, NodeId, Region};
+use std::collections::HashMap;
 
-fn mem_of(region: &Region, n: NodeId) -> Option<&MemRef> {
-    region.dfg.node(n).kind.mem_ref()
+type MayEdge = (NodeId, NodeId);
+
+/// One congruence id per node: memory operations with equal [`MemRef`]s
+/// share an id (interned once per region), other nodes have none.
+fn congruence_ids(region: &Region) -> Vec<Option<usize>> {
+    let mut interned: HashMap<&MemRef, usize> = HashMap::new();
+    region
+        .dfg
+        .node_ids()
+        .map(|n| {
+            let m = region.dfg.node(n).kind.mem_ref()?;
+            let next = interned.len();
+            Some(*interned.entry(m).or_insert(next))
+        })
+        .collect()
 }
 
-/// Groups `edges` by the endpoint selected by `key`, preserving first-seen
-/// order for determinism.
-fn group_by(
-    edges: &[(NodeId, NodeId)],
-    key: impl Fn(&(NodeId, NodeId)) -> NodeId,
-) -> Vec<(NodeId, Vec<(NodeId, NodeId)>)> {
-    let mut groups: Vec<(NodeId, Vec<(NodeId, NodeId)>)> = Vec::new();
+/// Partitions `edges` into coalescing classes: edges sharing the endpoint
+/// selected by `shared` whose `other` endpoints carry congruent memory
+/// references. Groups come in first-seen order of their shared endpoint,
+/// classes within a group in first-seen order of their congruence id, and
+/// edges in input order — the order the rewrites (and so the
+/// certificates) follow. Only classes of two or more edges are returned.
+fn classes(
+    edges: &[MayEdge],
+    cong: &[Option<usize>],
+    shared: impl Fn(&MayEdge) -> NodeId,
+    other: impl Fn(&MayEdge) -> NodeId,
+) -> Vec<Vec<MayEdge>> {
+    let mut group_of = vec![usize::MAX; cong.len()];
+    let mut groups: Vec<Vec<MayEdge>> = Vec::new();
     for &e in edges {
-        let k = key(&e);
-        match groups.iter_mut().find(|(g, _)| *g == k) {
-            Some((_, v)) => v.push(e),
-            None => groups.push((k, vec![e])),
+        let g = &mut group_of[shared(&e).index()];
+        if *g == usize::MAX {
+            *g = groups.len();
+            groups.push(Vec::new());
+        }
+        groups[*g].push(e);
+    }
+    let mut class_of = vec![usize::MAX; cong.len()];
+    let mut out = Vec::new();
+    for group in groups {
+        let first = out.len();
+        for e in group {
+            let Some(id) = cong[other(&e).index()] else {
+                continue;
+            };
+            if class_of[id] == usize::MAX {
+                class_of[id] = out.len();
+                out.push(Vec::new());
+            }
+            out[class_of[id]].push(e);
+        }
+        for class in &out[first..] {
+            let id = cong[other(&class[0]).index()].expect("classed edges have an id");
+            class_of[id] = usize::MAX;
         }
     }
-    groups
-}
-
-/// Partitions a group's edges into congruence classes by the [`MemRef`]
-/// of the endpoint selected by `key` (first-seen order).
-fn congruence_classes(
-    region: &Region,
-    edges: &[(NodeId, NodeId)],
-    key: impl Fn(&(NodeId, NodeId)) -> NodeId,
-) -> Vec<Vec<(NodeId, NodeId)>> {
-    let mut classes: Vec<(MemRef, Vec<(NodeId, NodeId)>)> = Vec::new();
-    for &e in edges {
-        let Some(m) = mem_of(region, key(&e)) else {
-            continue;
-        };
-        match classes.iter_mut().find(|(cm, _)| cm == m) {
-            Some((_, v)) => v.push(e),
-            None => classes.push((m.clone(), vec![e])),
-        }
-    }
-    classes.into_iter().map(|(_, v)| v).collect()
+    out.retain(|class| class.len() >= 2);
+    out
 }
 
 fn slot(region: &Region, n: NodeId) -> usize {
@@ -77,90 +100,79 @@ fn slot(region: &Region, n: NodeId) -> usize {
         .map_or(usize::MAX, nachos_ir::MemSlot::index)
 }
 
-/// Removes one coalesced MAY edge from the DFG and the plan.
-fn remove(region: &mut Region, plan: &mut MdePlan, edge: (NodeId, NodeId)) {
-    let pos = plan
-        .may
-        .iter()
-        .position(|&e| e == edge)
-        .expect("coalescing candidates come from the plan");
-    plan.may.remove(pos);
-    region
-        .dfg
-        .remove_edge_between(edge.0, edge.1, EdgeKind::May)
-        .expect("planned MAY edge exists in the compiled DFG");
-}
-
 /// Coalesces congruent MAY edges (rules A then B), recording one
 /// [`Certificate::MayCoalesced`] per deletion. Returns the number of
 /// edges removed. Must run after transitive reduction: witness paths are
 /// searched over the final guaranteed edge set, which MAY removals never
-/// perturb.
+/// perturb. For the same reason each rule's decisions are independent of
+/// its own deletions, so each rule collects them and applies them in one
+/// batch; rule B groups the plan rule A left.
 pub(super) fn run(region: &mut Region, plan: &mut MdePlan, certs: &mut Vec<Certificate>) -> usize {
+    if plan.may.len() < 2 {
+        // No class of two edges: nothing to coalesce.
+        return 0;
+    }
     let closure = Reachability::of_dfg(
         &region.dfg,
         &[EdgeKind::Data, EdgeKind::Order, EdgeKind::Forward],
     );
-    let mut kept_edges: Vec<(NodeId, NodeId)> = Vec::new();
+    let cong = congruence_ids(region);
+    let mut kept_edges = EdgeSet::new(&region.dfg);
+    let mut doomed: Vec<MayEdge> = Vec::new();
     let mut removed = 0usize;
 
     // Rule A: shared destination, congruent sources. Keep the youngest
     // source (deepest into the guaranteed chain), coalesce the rest into
     // it.
-    for (_, edges) in group_by(&plan.may.clone(), |e| e.1) {
-        for class in congruence_classes(region, &edges, |e| e.0) {
-            if class.len() < 2 {
+    for class in classes(&plan.may, &cong, |e| e.1, |e| e.0) {
+        let kept = *class
+            .iter()
+            .max_by_key(|e| slot(region, e.0))
+            .expect("class is non-empty");
+        for &cand in class.iter().filter(|&&e| e != kept) {
+            if !closure.reaches(cand.0, kept.0) {
                 continue;
             }
-            let kept = *class
-                .iter()
-                .max_by_key(|e| slot(region, e.0))
-                .expect("class is non-empty");
-            for &cand in class.iter().filter(|&&e| e != kept) {
-                if !closure.reaches(cand.0, kept.0) {
-                    continue;
-                }
-                let path = witness::find_path(&region.dfg, cand.0, kept.0, None)
-                    .expect("closure reachability implies a concrete path");
-                remove(region, plan, cand);
-                kept_edges.push(kept);
-                removed += 1;
-                certs.push(Certificate::MayCoalesced {
-                    removed: cand,
-                    kept,
-                    witness: path,
-                });
-            }
+            let path = witness::find_path(&region.dfg, cand.0, kept.0, None)
+                .expect("closure reachability implies a concrete path");
+            doomed.push(cand);
+            kept_edges.insert(kept.0, kept.1, EdgeKind::May);
+            certs.push(Certificate::MayCoalesced {
+                removed: cand,
+                kept,
+                witness: path,
+            });
         }
     }
+    removed += doomed.len();
+    super::remove_may_edges(region, plan, &doomed);
+    doomed.clear();
 
     // Rule B: shared source, congruent destinations. Keep the oldest
     // destination (first to execute), coalesce younger congruent ones.
-    for (_, edges) in group_by(&plan.may.clone(), |e| e.0) {
-        for class in congruence_classes(region, &edges, |e| e.1) {
-            if class.len() < 2 {
+    for class in classes(&plan.may, &cong, |e| e.0, |e| e.1) {
+        let kept = *class
+            .iter()
+            .min_by_key(|e| slot(region, e.1))
+            .expect("class is non-empty");
+        for &cand in class.iter().filter(|&&e| e != kept) {
+            if kept_edges.contains(cand.0, cand.1, EdgeKind::May)
+                || !closure.reaches(kept.1, cand.1)
+            {
                 continue;
             }
-            let kept = *class
-                .iter()
-                .min_by_key(|e| slot(region, e.1))
-                .expect("class is non-empty");
-            for &cand in class.iter().filter(|&&e| e != kept) {
-                if kept_edges.contains(&cand) || !closure.reaches(kept.1, cand.1) {
-                    continue;
-                }
-                let path = witness::find_path(&region.dfg, kept.1, cand.1, None)
-                    .expect("closure reachability implies a concrete path");
-                remove(region, plan, cand);
-                kept_edges.push(kept);
-                removed += 1;
-                certs.push(Certificate::MayCoalesced {
-                    removed: cand,
-                    kept,
-                    witness: path,
-                });
-            }
+            let path = witness::find_path(&region.dfg, kept.1, cand.1, None)
+                .expect("closure reachability implies a concrete path");
+            doomed.push(cand);
+            kept_edges.insert(kept.0, kept.1, EdgeKind::May);
+            certs.push(Certificate::MayCoalesced {
+                removed: cand,
+                kept,
+                witness: path,
+            });
         }
     }
+    removed += doomed.len();
+    super::remove_may_edges(region, plan, &doomed);
     removed
 }

@@ -35,8 +35,10 @@ pub use cert::{ArithFact, Certificate, OptOutcome, OptStats};
 pub(crate) use stage5::{disjoint_fact, kspace_delta};
 pub(crate) use witness::path_valid;
 
+use crate::edgeset::EdgeSet;
 use crate::pipeline::Analysis;
-use nachos_ir::Region;
+use crate::stage3::MdePlan;
+use nachos_ir::{EdgeKind, NodeId, Region};
 
 /// Runs the optimizer over a compiled region (the MDE plan must already
 /// be applied to the DFG — see [`crate::compile`]). Mutates the region's
@@ -72,6 +74,30 @@ pub fn optimize(region: &mut Region, analysis: &mut Analysis) {
             may_upgraded_edges,
         },
     });
+}
+
+/// Deletes distinct planned MAY edges from the plan and from the DFG,
+/// one order-preserving pass over each.
+///
+/// # Panics
+///
+/// Panics if some edge is missing from the plan or the DFG (the
+/// optimizer only deletes planned edges, and the plan is applied).
+fn remove_may_edges(region: &mut Region, plan: &mut MdePlan, doomed: &[(NodeId, NodeId)]) {
+    if doomed.is_empty() {
+        return;
+    }
+    let set = EdgeSet::of_pairs(&region.dfg, doomed, EdgeKind::May);
+    let planned = plan.may.len();
+    plan.may
+        .retain(|&(s, d)| !set.contains(s, d, EdgeKind::May));
+    let removed = region
+        .dfg
+        .retain_edges(|e| !set.contains(e.src, e.dst, e.kind));
+    assert!(
+        planned - plan.may.len() == doomed.len() && removed == doomed.len(),
+        "deleted MAY edges must be planned and present in the compiled DFG"
+    );
 }
 
 #[cfg(test)]

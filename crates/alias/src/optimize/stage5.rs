@@ -18,6 +18,7 @@
 use super::cert::{ArithFact, Certificate};
 use crate::afftest::{congruence_hits, delta_range, gcd, iteration_space, IvBox};
 use crate::classify::linearize;
+use crate::edgeset::EdgeSet;
 use crate::matrix::{AliasLabel, AliasMatrix};
 use crate::stage3::MdePlan;
 use nachos_ir::{AffineExpr, EdgeKind, NodeId, Region};
@@ -84,7 +85,9 @@ pub(crate) fn kspace_delta(
 
 /// Upgrades every decidable residual MAY pair to NO, deleting its planned
 /// MAY edge (when one exists) and keeping the matrix, the plan and the
-/// DFG in lockstep. Returns `(pairs_upgraded, edges_removed)`.
+/// DFG in lockstep. No decision reads an edge, so the deletions are
+/// collected and applied in one batch. Returns
+/// `(pairs_upgraded, edges_removed)`.
 pub(super) fn run(
     region: &mut Region,
     matrix: &mut AliasMatrix,
@@ -92,7 +95,8 @@ pub(super) fn run(
     certs: &mut Vec<Certificate>,
 ) -> (usize, usize) {
     let mut upgraded = 0usize;
-    let mut edges_removed = 0usize;
+    let planned = EdgeSet::of_pairs(&region.dfg, &plan.may, EdgeKind::May);
+    let mut doomed = Vec::new();
     let may_pairs: Vec<_> = matrix
         .pairs()
         .filter(|&(_, _, label)| label == AliasLabel::May)
@@ -107,13 +111,8 @@ pub(super) fn run(
             continue;
         };
         matrix.set(pair, AliasLabel::No);
-        if let Some(pos) = plan.may.iter().position(|&e| e == (s, d)) {
-            plan.may.remove(pos);
-            region
-                .dfg
-                .remove_edge_between(s, d, EdgeKind::May)
-                .expect("planned MAY edge exists in the compiled DFG");
-            edges_removed += 1;
+        if planned.contains(s, d, EdgeKind::May) {
+            doomed.push((s, d));
         }
         upgraded += 1;
         certs.push(Certificate::MayUpgraded {
@@ -123,5 +122,6 @@ pub(super) fn run(
             fact,
         });
     }
-    (upgraded, edges_removed)
+    super::remove_may_edges(region, plan, &doomed);
+    (upgraded, doomed.len())
 }

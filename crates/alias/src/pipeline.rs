@@ -172,17 +172,19 @@ pub fn compile(region: &mut Region, config: StageConfig) -> Analysis {
 /// of the matrix's `i`-th operation.
 #[must_use]
 pub fn may_fanin(analysis: &Analysis) -> Vec<usize> {
-    let mut fanin = vec![0usize; analysis.matrix.num_ops()];
-    let index_of = |node| {
-        analysis
-            .matrix
-            .ops()
-            .iter()
-            .position(|&n| n == node)
-            .expect("plan nodes come from the matrix")
-    };
+    let ops = analysis.matrix.ops();
+    let mut index_of = vec![None; ops.iter().map(|n| n.index() + 1).max().unwrap_or(0)];
+    for (i, n) in ops.iter().enumerate() {
+        index_of[n.index()] = Some(i);
+    }
+    let mut fanin = vec![0usize; ops.len()];
     for &(_, younger) in &analysis.plan.may {
-        fanin[index_of(younger)] += 1;
+        let i = index_of
+            .get(younger.index())
+            .copied()
+            .flatten()
+            .expect("plan nodes come from the matrix");
+        fanin[i] += 1;
     }
     fanin
 }

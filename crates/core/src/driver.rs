@@ -5,6 +5,7 @@ use crate::energy::EnergyModel;
 use crate::engine::{simulate_in, simulate_with_telemetry, SimArena, SimResult, TelemetrySink};
 use crate::error::SimError;
 use nachos_alias::{compile, Analysis, StageConfig};
+use nachos_cgra::PlaceError;
 use nachos_ir::{Binding, Region};
 
 /// The outcome of compiling and simulating one region under one backend.
@@ -38,9 +39,10 @@ pub struct CompiledRegion {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Validation`] for malformed input graphs and
-/// [`SimError::Audit`] when the independent post-compile audit rejects
-/// the analysis.
+/// Returns [`SimError::Validation`] for malformed input graphs,
+/// [`SimError::Placement`] for graphs with more nodes than the grid has
+/// functional units, and [`SimError::Audit`] when the independent
+/// post-compile audit rejects the analysis.
 pub fn compile_for_backend(
     region: &Region,
     backend: Backend,
@@ -50,6 +52,16 @@ pub fn compile_for_backend(
     // Fail fast on malformed input graphs before spending compile and
     // placement work; `simulate` re-validates the compiled region.
     nachos_ir::validate_region(region).map_err(SimError::Validation)?;
+    // A region that cannot be placed is rejected before any alias work:
+    // on a graph far beyond the grid the compile and audit alone would
+    // cost seconds. This is the error placement itself would return.
+    let (nodes, capacity) = (region.dfg.num_nodes(), config.grid.capacity());
+    if nodes > capacity {
+        return Err(SimError::Placement(PlaceError::TooManyNodes {
+            nodes,
+            capacity,
+        }));
+    }
     let mut compiled = region.clone();
     let analysis = if backend.uses_mdes() {
         let mut analysis = compile(&mut compiled, stages);
@@ -242,6 +254,48 @@ pub fn pct_slowdown(test_cycles: u64, baseline_cycles: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nachos_ir::{AffineExpr, IntOp, MemRef, Provenance, RegionBuilder};
+
+    /// A region of `nodes` nodes: two ambiguous stores and a load (so the
+    /// MDE pipeline has MAY pairs to work on) plus a chain of adds.
+    fn region_of(nodes: usize) -> Region {
+        let mut b = RegionBuilder::new("oversized");
+        let a0 = b.arg(0, Provenance::Unknown);
+        let a1 = b.arg(1, Provenance::Unknown);
+        let m = |base| MemRef::affine(base, AffineExpr::zero());
+        let mut last = b.load(m(a0), &[]);
+        b.store(m(a1), &[]);
+        b.store(m(a0), &[]);
+        for _ in 3..nodes {
+            last = b.int_op(IntOp::Add, &[last]);
+        }
+        let r = b.finish();
+        assert_eq!(r.dfg.num_nodes(), nodes);
+        r
+    }
+
+    #[test]
+    fn oversized_regions_are_rejected_before_compiling() {
+        let config = SimConfig::default();
+        let capacity = config.grid.capacity();
+        assert_eq!(capacity, 1024);
+        let over = region_of(capacity + 1);
+        for backend in [Backend::NachosSw, Backend::OptLsq] {
+            let err = compile_for_backend(&over, backend, &config, StageConfig::full())
+                .expect_err("a region over the grid capacity cannot be placed");
+            let want = PlaceError::TooManyNodes {
+                nodes: capacity + 1,
+                capacity,
+            };
+            assert!(
+                matches!(&err, SimError::Placement(e) if *e == want),
+                "{backend:?}: {err}"
+            );
+            // A region that just fits still compiles.
+            compile_for_backend(&region_of(capacity), backend, &config, StageConfig::full())
+                .unwrap_or_else(|e| panic!("{backend:?}: {e}"));
+        }
+    }
 
     #[test]
     fn slowdown_sign_convention() {

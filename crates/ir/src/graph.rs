@@ -121,6 +121,72 @@ impl Dfg {
         kind: EdgeKind,
     ) -> Result<EdgeId, GraphError> {
         let edge = Edge::new(src, dst, kind);
+        self.check_edge(edge)?;
+        if self.reaches(dst, src) {
+            return Err(GraphError::WouldCycle(edge));
+        }
+        Ok(self.push_edge(edge))
+    }
+
+    /// Adds a batch of edges, in order, with the checks of
+    /// [`add_edge`](Self::add_edge): the batch is accepted exactly when
+    /// adding its edges one at a time would be, and then yields the same
+    /// edge table and adjacency order.
+    ///
+    /// The per-edge checks (endpoints, duplicates — also within the batch
+    /// — and MDE shape) run as each edge is appended; acyclicity is
+    /// checked once, by a topological sort of the result. That suffices
+    /// because every subgraph of a DAG is a DAG: if the full result is
+    /// acyclic, so is every prefix the sequential calls would have built.
+    /// The whole batch thus costs one `O(V + E)` sort on top of
+    /// `add_edge`'s out-edge duplicate scans, instead of one reachability
+    /// search (and one `O(V)` allocation) per edge.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error the first failing sequential
+    /// [`add_edge`](Self::add_edge) call would have returned. On error the
+    /// graph is unchanged.
+    pub fn add_edges(&mut self, batch: &[(NodeId, NodeId, EdgeKind)]) -> Result<(), GraphError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let base = self.edges.len();
+        let mut first_err = None;
+        for &(src, dst, kind) in batch {
+            let edge = Edge::new(src, dst, kind);
+            if let Err(e) = self.check_edge(edge) {
+                first_err = Some(e);
+                break;
+            }
+            self.push_edge(edge);
+        }
+        if self.sorted_prefix().len() < self.nodes.len() {
+            // Error path only: replay the accepted prefix to name the edge
+            // that closes the first cycle, as sequential `add_edge` would.
+            // (On a graph that was already cyclic — possible only through
+            // `add_edge_unchecked` — no batch edge may be the culprit.)
+            let prefix = self.edges[base..].to_vec();
+            self.truncate_edges(base);
+            for edge in prefix {
+                if self.reaches(edge.dst, edge.src) {
+                    self.truncate_edges(base);
+                    return Err(GraphError::WouldCycle(edge));
+                }
+                self.push_edge(edge);
+            }
+        }
+        if let Some(e) = first_err {
+            self.truncate_edges(base);
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// The checks [`add_edge`](Self::add_edge) runs before acyclicity, in
+    /// its order: endpoint range, uniqueness, MDE shape and self-loops.
+    fn check_edge(&self, edge: Edge) -> Result<(), GraphError> {
+        let Edge { src, dst, kind } = edge;
         if src.index() >= self.nodes.len() {
             return Err(GraphError::UnknownNode(src));
         }
@@ -145,14 +211,48 @@ impl Dfg {
                 return Err(GraphError::BadForwardEndpoints(edge));
             }
         }
-        if src == dst || self.reaches(dst, src) {
+        if src == dst {
             return Err(GraphError::WouldCycle(edge));
         }
+        Ok(())
+    }
+
+    /// Appends an edge to the table and, when both endpoints are in range,
+    /// to the adjacency lists (which therefore stay in edge-id order).
+    fn push_edge(&mut self, edge: Edge) -> EdgeId {
         let id = EdgeId::new(self.edges.len());
         self.edges.push(edge);
-        self.succs[src.index()].push(id);
-        self.preds[dst.index()].push(id);
-        Ok(id)
+        if edge.src.index() < self.nodes.len() && edge.dst.index() < self.nodes.len() {
+            self.succs[edge.src.index()].push(id);
+            self.preds[edge.dst.index()].push(id);
+        }
+        id
+    }
+
+    /// Drops every edge from index `len` on. The dropped ids are the
+    /// largest, hence the last entries of their adjacency lists.
+    fn truncate_edges(&mut self, len: usize) {
+        while self.edges.len() > len {
+            let e = self.edges.pop().expect("len checked");
+            if e.src.index() < self.nodes.len() && e.dst.index() < self.nodes.len() {
+                self.succs[e.src.index()].pop();
+                self.preds[e.dst.index()].pop();
+            }
+        }
+    }
+
+    /// Rebuilds both adjacency lists from the edge table in one pass —
+    /// the one routine every deletion shares. Dangling edges stay out.
+    fn rebuild_adjacency(&mut self) {
+        for list in self.succs.iter_mut().chain(self.preds.iter_mut()) {
+            list.clear();
+        }
+        for (i, e) in self.edges.iter().enumerate() {
+            if e.src.index() < self.nodes.len() && e.dst.index() < self.nodes.len() {
+                self.succs[e.src.index()].push(EdgeId::new(i));
+                self.preds[e.dst.index()].push(EdgeId::new(i));
+            }
+        }
     }
 
     /// Adds an edge **without** any invariant checking: no duplicate,
@@ -168,13 +268,7 @@ impl Dfg {
     /// method must pass `nachos_ir::validate_region` before it is placed
     /// or simulated.
     pub fn add_edge_unchecked(&mut self, src: NodeId, dst: NodeId, kind: EdgeKind) -> EdgeId {
-        let id = EdgeId::new(self.edges.len());
-        self.edges.push(Edge::new(src, dst, kind));
-        if src.index() < self.nodes.len() && dst.index() < self.nodes.len() {
-            self.succs[src.index()].push(id);
-            self.preds[dst.index()].push(id);
-        }
-        id
+        self.push_edge(Edge::new(src, dst, kind))
     }
 
     /// Removes the edge at `index` (in [`edges`](Self::edges) order) and
@@ -192,27 +286,41 @@ impl Dfg {
     /// Panics if `index` is out of range.
     pub fn remove_edge_unchecked(&mut self, index: usize) -> Edge {
         let removed = self.edges.remove(index);
-        for list in self.succs.iter_mut().chain(self.preds.iter_mut()) {
-            list.clear();
-        }
-        for (i, e) in self.edges.iter().enumerate() {
-            if e.src.index() < self.nodes.len() && e.dst.index() < self.nodes.len() {
-                self.succs[e.src.index()].push(EdgeId::new(i));
-                self.preds[e.dst.index()].push(EdgeId::new(i));
-            }
+        self.rebuild_adjacency();
+        removed
+    }
+
+    /// Keeps only the edges for which `keep` returns `true`, in their
+    /// order, and returns how many were removed: one pass over the edge
+    /// table and one adjacency rebuild, however many edges go. Edge ids
+    /// shift down past each removed edge, exactly as after the same
+    /// deletions made one at a time with
+    /// [`remove_edge_between`](Self::remove_edge_between).
+    ///
+    /// Deletion can never break the invariants
+    /// [`add_edge`](Self::add_edge) enforces, so this is a checked
+    /// mutation for production passes.
+    pub fn retain_edges(&mut self, keep: impl FnMut(&Edge) -> bool) -> usize {
+        let before = self.edges.len();
+        self.edges.retain(keep);
+        let removed = before - self.edges.len();
+        if removed > 0 {
+            self.rebuild_adjacency();
         }
         removed
     }
 
     /// Removes the edge `src → dst` of `kind`, if present, and returns it.
     ///
-    /// Unlike [`remove_edge_unchecked`](Self::remove_edge_unchecked) this
-    /// is a *checked* mutation meant for production transformation passes
-    /// (the MDE optimizer): the edge is looked up by endpoints and kind,
-    /// the adjacency lists are rebuilt, and removing an edge can never
-    /// break the graph invariants [`add_edge`](Self::add_edge) enforces
-    /// (acyclicity, uniqueness and endpoint shape are preserved by
-    /// deletion). Returns `None` when no such edge exists.
+    /// Each call scans the edge table and rebuilds the adjacency lists,
+    /// so a pass that deletes many edges whose choice does not depend on
+    /// the earlier deletions batches them through
+    /// [`retain_edges`](Self::retain_edges) instead. The one production
+    /// caller is the MDE optimizer's transitive reduction, whose witness
+    /// searches read the graph its earlier deletions left. Removing
+    /// an edge can never break the invariants [`add_edge`](Self::add_edge)
+    /// enforces (acyclicity, uniqueness and endpoint shape are preserved
+    /// by deletion). Returns `None` when no such edge exists.
     pub fn remove_edge_between(
         &mut self,
         src: NodeId,
@@ -338,6 +446,14 @@ impl Dfg {
     /// succeeds and covers every node.
     #[must_use]
     pub fn topo_order(&self) -> Vec<NodeId> {
+        let order = self.sorted_prefix();
+        debug_assert_eq!(order.len(), self.nodes.len(), "graph must be acyclic");
+        order
+    }
+
+    /// Kahn's algorithm: the nodes a topological sort can emit. Shorter
+    /// than the node count exactly when the graph has a cycle.
+    fn sorted_prefix(&self) -> Vec<NodeId> {
         let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
         let mut order = Vec::with_capacity(self.nodes.len());
         let mut ready: Vec<NodeId> = indeg
@@ -356,7 +472,6 @@ impl Dfg {
                 }
             }
         }
-        debug_assert_eq!(order.len(), self.nodes.len(), "graph must be acyclic");
         order
     }
 
@@ -385,25 +500,7 @@ impl Dfg {
     /// Used by the compiler driver to re-run MDE insertion with a different
     /// configuration on the same region.
     pub fn clear_mdes(&mut self) {
-        let keep: Vec<Edge> = self
-            .edges
-            .iter()
-            .copied()
-            .filter(|e| !e.kind.is_mde())
-            .collect();
-        self.edges.clear();
-        for s in &mut self.succs {
-            s.clear();
-        }
-        for p in &mut self.preds {
-            p.clear();
-        }
-        for e in keep {
-            let id = EdgeId::new(self.edges.len());
-            self.edges.push(e);
-            self.succs[e.src.index()].push(id);
-            self.preds[e.dst.index()].push(id);
-        }
+        self.retain_edges(|e| !e.kind.is_mde());
     }
 }
 
@@ -470,6 +567,77 @@ mod tests {
         assert_eq!(g.count_edges(EdgeKind::Order), 0);
         // Second removal of the same edge is a no-op.
         assert_eq!(g.remove_edge_between(a, c, EdgeKind::Order), None);
+    }
+
+    #[test]
+    fn add_edges_matches_sequential_add_edge() {
+        let (mut g, a, b, c) = small_graph();
+        let mut seq = g.clone();
+        let batch = [
+            (a, c, EdgeKind::Order),
+            (a, c, EdgeKind::May),
+            (b, c, EdgeKind::Data),
+        ];
+        // b -> c already exists: the third edge is a duplicate, and the
+        // whole batch is rejected with the graph untouched.
+        let before = g.clone();
+        assert_eq!(
+            g.add_edges(&batch),
+            Err(GraphError::DuplicateEdge(Edge::new(b, c, EdgeKind::Data)))
+        );
+        assert_eq!(g, before);
+        g.add_edges(&batch[..2]).unwrap();
+        for &(s, d, k) in &batch[..2] {
+            seq.add_edge(s, d, k).unwrap();
+        }
+        assert_eq!(g, seq);
+    }
+
+    #[test]
+    fn add_edges_names_the_edge_closing_the_first_cycle() {
+        let mut g = Dfg::new();
+        let n: Vec<NodeId> = (0..4)
+            .map(|_| g.add_node(OpKind::Int(IntOp::Add)).unwrap())
+            .collect();
+        let before = g.clone();
+        let batch = [
+            (n[0], n[1], EdgeKind::Data),
+            (n[1], n[2], EdgeKind::Data),
+            (n[2], n[0], EdgeKind::Data),
+            (n[3], n[3], EdgeKind::Data),
+        ];
+        assert_eq!(
+            g.add_edges(&batch),
+            Err(GraphError::WouldCycle(Edge::new(
+                n[2],
+                n[0],
+                EdgeKind::Data
+            )))
+        );
+        assert_eq!(g, before);
+        // Without the cycle, the self-loop is the first failure.
+        assert_eq!(
+            g.add_edges(&[batch[0], batch[3]]),
+            Err(GraphError::WouldCycle(Edge::new(
+                n[3],
+                n[3],
+                EdgeKind::Data
+            )))
+        );
+        assert_eq!(g, before);
+    }
+
+    #[test]
+    fn retain_edges_matches_repeated_removal() {
+        let (mut g, a, b, c) = small_graph();
+        g.add_edge(a, c, EdgeKind::Order).unwrap();
+        let mut seq = g.clone();
+        assert_eq!(g.retain_edges(|e| e.kind == EdgeKind::Order), 2);
+        seq.remove_edge_between(a, b, EdgeKind::Data).unwrap();
+        seq.remove_edge_between(b, c, EdgeKind::Data).unwrap();
+        assert_eq!(g, seq);
+        assert_eq!(g.retain_edges(|_| true), 0);
+        assert_eq!(g.out_edges(a).count(), 1);
     }
 
     #[test]
